@@ -15,7 +15,7 @@ import json
 from typing import Any
 
 from repro.compiler.compiler import CompiledFlowFile
-from repro.engine.plan import FusedPipelineTask, PlanNode
+from repro.engine.plan import FusedPipelineTask, PlanNode, PreludeGroupByTask
 from repro.tasks.base import Task
 from repro.tasks.filter import FilterTask
 from repro.tasks.groupby import GroupByTask
@@ -57,8 +57,16 @@ def generate_pig_script(compiled: CompiledFlowFile) -> str:
             lines.append(f"{name} = LOAD '{source}'{schema};")
         else:
             assert node.task is not None
+            task = node.task
             inputs = [alias[i] for i in node.inputs]
-            lines.append(f"{name} = {_statement(node.task, inputs)};")
+            if isinstance(task, PreludeGroupByTask):
+                # A combiner prelude keeps its own statement.
+                prelude = f"{name}_prelude"
+                lines.append(
+                    f"{prelude} = {_statement(task.prelude, inputs)};"
+                )
+                task, inputs = task.groupby, [prelude]
+            lines.append(f"{name} = {_statement(task, inputs)};")
         if node.materializes:
             obj = compiled.flow_file.data.get(node.materializes)
             if obj is not None and obj.endpoint:

@@ -31,7 +31,6 @@ Two ingestion fast paths live here:
 
 from __future__ import annotations
 
-import logging
 import os
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -54,8 +53,6 @@ from repro.observability.instruments import (
     record_encode_fallbacks,
     record_ingest,
 )
-
-_LOG = logging.getLogger("repro.ingest")
 
 
 @dataclass
@@ -280,7 +277,6 @@ class DataObjectLoader:
             plans, parallelism, threshold
         )
         if reason is not None:
-            _LOG.info("parallel loading fell back to sequential: %s", reason)
             self.observability.metrics.counter(
                 INGEST_PARALLEL_FALLBACK,
                 "Parallel load_many calls that ran sequentially",

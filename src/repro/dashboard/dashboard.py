@@ -192,6 +192,12 @@ class Dashboard:
         context = self._task_context()
         plan = self.compiled.plan
         skipped: list[str] = []
+        # A run re-reads its sources.  The copies the last run
+        # materialized go stale when a source changes (and the
+        # distributed engine's are reordered by partitioning), and
+        # _resolve_source would prefer them, so they are dropped first.
+        for source in self.compiled.dag.sources:
+            self._materialized.pop(source, None)
         if incremental and self._fresh_outputs:
             plan, skipped = self._incremental_plan()
         if fault_profile and engine is None:

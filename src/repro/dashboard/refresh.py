@@ -23,7 +23,6 @@ a scheduler cycle is exactly as safe as a manual refresh.
 
 from __future__ import annotations
 
-import logging
 import threading
 from typing import Sequence
 
@@ -31,8 +30,6 @@ from repro.observability.instruments import (
     REFRESH_CYCLES,
     REFRESH_ERRORS,
 )
-
-_LOG = logging.getLogger("repro.refresh")
 
 
 class RefreshScheduler:
@@ -84,9 +81,6 @@ class RefreshScheduler:
                         name, incremental=self.incremental
                     )
                 except Exception as exc:
-                    _LOG.warning(
-                        "background refresh of %r failed: %s", name, exc
-                    )
                     obs.metrics.counter(
                         REFRESH_ERRORS,
                         "Dashboard refreshes that raised",
@@ -127,7 +121,9 @@ class RefreshScheduler:
             try:
                 self.run_cycle()
             except Exception:  # pragma: no cover - run_cycle guards
-                _LOG.exception("refresh cycle failed")
+                # Per-dashboard failures are counted inside run_cycle;
+                # the daemon thread must outlive anything else.
+                pass
 
     def __enter__(self) -> "RefreshScheduler":
         self.start()

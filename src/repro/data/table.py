@@ -33,6 +33,11 @@ from repro.errors import SchemaError
 class Table:
     """A schema-carrying columnar table."""
 
+    #: the pickle page, once ``__reduce__`` made one (with the encodings
+    #: toggle it was made under); a class default, so tables that are
+    #: never pickled carry no extra attribute
+    _page: tuple[bool, bytes] | None = None
+
     def __init__(
         self,
         schema: Schema | Sequence[str],
@@ -483,6 +488,8 @@ class Table:
         if self._enc:
             self._enc = {}
         self._est_bytes = None
+        if self._page is not None:
+            self._page = None
 
     def infer_types(self) -> "Table":
         """Return a table whose schema carries inferred column types."""
@@ -607,7 +614,15 @@ class Table:
         """
         from repro.data import pages
 
-        return (pages.decode_table, (pages.encode_table(self),))
+        # Engine tables are immutable, and one partition is pickled once
+        # per consuming stage (each IPL pipeline ships the same source
+        # partitions to the warm pool), so the page is encoded once.
+        enabled = _encodings.enabled()
+        cached = self._page
+        if cached is None or cached[0] != enabled:
+            cached = (enabled, pages.encode_table(self))
+            self._page = cached
+        return (pages.decode_table, (cached[1],))
 
 
 def _encode_json_column(

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.data import DictColumn, Table
-from repro.engine.plan import LogicalPlan, PlanNode
+from repro.engine.plan import LogicalPlan, PlanNode, PreludeGroupByTask
 from repro.engine.scheduler import ProcessPool, WorkerPool
 from repro.errors import (
     ExecutionError,
@@ -67,7 +67,7 @@ from repro.resilience import (
     check_deadline,
 )
 from repro.tasks.base import Task, TaskContext
-from repro.tasks.groupby import GroupByTask
+from repro.tasks.groupby import GroupByTask, _explode
 from repro.tasks.join import JoinTask
 from repro.tasks.misc import DistinctTask, LimitTask, SortTask, UnionTask
 from repro.tasks.topn import TopNTask
@@ -1040,6 +1040,10 @@ class DistributedExecutor:
         try:
             if task.partition_local():
                 return self._map_side(task, inputs[0], context, stages)
+            if isinstance(task, PreludeGroupByTask):
+                return self._groupby(
+                    task.groupby, inputs[0], context, stages, fused=task
+                )
             if isinstance(task, GroupByTask):
                 return self._groupby(task, inputs[0], context, stages)
             if isinstance(task, JoinTask):
@@ -1083,20 +1087,41 @@ class DistributedExecutor:
         return outputs
 
     def _groupby(
-        self, task: GroupByTask, partitions, context, stages
+        self,
+        task: GroupByTask,
+        partitions,
+        context,
+        stages,
+        fused: PreludeGroupByTask | None = None,
     ) -> list[Table]:
+        """Group ``partitions`` by key, through a combiner when it can.
+
+        ``fused`` carries a combiner prelude: with a combiner each
+        partition runs prelude + partial aggregate as one unit, so the
+        prelude's output never leaves the worker; without one the
+        prelude runs first as its own map stage.
+        """
+        specs = task._aggregate_specs()
+        combinable = (
+            self._use_combiner
+            and len(partitions) > 1
+            and all(
+                str(s["operator"]).lower() in _COMBINABLE for s in specs
+            )
+        )
+        if fused is not None and not combinable:
+            partitions = self._map_side(
+                fused.prelude, partitions, context, stages
+            )
+            fused = None
         input_rows = sum(p.num_rows for p in partitions)
         run = _StageRun()
-        specs = task._aggregate_specs()
-        combinable = self._use_combiner and all(
-            str(s["operator"]).lower() in _COMBINABLE for s in specs
-        )
-        if combinable and len(partitions) > 1:
+        if combinable:
             # Map-side combine: partial aggregates per partition, then a
             # shuffle of partials, then a merge aggregation where COUNT
             # partials are SUMmed.
             partials = self._apply_each(
-                "map", task, partitions, context, run
+                "map", fused or task, partitions, context, run
             )
             merge_specs = []
             for spec in specs:
@@ -1131,15 +1156,20 @@ class DistributedExecutor:
                 skip_empty=True,
             )
         else:
+            # List-valued keys (extract_words) must explode before the
+            # shuffle: routing by the whole list would split one
+            # (date, word) group across reducers.
             shuffled, records, size = self._shuffle(
-                partitions, task.group_columns, self._parts
+                [_explode(p, task.group_columns) for p in partitions],
+                task.group_columns,
+                self._parts,
             )
             outputs = self._apply_each(
                 "shuffle", task, shuffled, context, run, skip_empty=True
             )
         stages.append(
             self._stats(
-                task.name, "shuffle", input_rows, outputs, run,
+                (fused or task).name, "shuffle", input_rows, outputs, run,
                 shuffled_records=records, shuffled_bytes=size,
             )
         )

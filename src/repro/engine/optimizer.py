@@ -3,7 +3,7 @@
 "The AST provides opportunities to optimize the complete flow.  For
 example, tasks can be re-arranged to minimize data transfers to the
 browser" (paper §4.1; §6 names execution optimization as the main future
-direction).  Three rewrites are implemented, all preserving semantics:
+direction).  Five rewrites are implemented, all preserving semantics:
 
 1. **Filter pushdown** — an expression filter hops over an upstream map
    whose output column it does not reference, so fewer rows pay for the
@@ -19,7 +19,14 @@ direction).  Three rewrites are implemented, all preserving semantics:
    no intermediate materialization.  A node ends its chain when it
    materializes a flow output (those can be checkpointed and consumed
    by other flows) or has fan-out consumers.
-4. **Endpoint-transfer minimization** — for widget pipelines (handled in
+4. **Combiner fusion** — fusion extends into the map-side combiner: a
+   partition-local node (or fused chain) whose only consumer is a
+   single-input group-by becomes that group-by's *prelude*
+   (:class:`~repro.engine.plan.PreludeGroupByTask`).  The distributed
+   engine then runs prelude + partial aggregate as one unit per
+   partition, so the prelude's full-size output never leaves the
+   worker — only the partial aggregates do.
+5. **Endpoint-transfer minimization** — for widget pipelines (handled in
    :mod:`repro.engine.datacube` / the dashboard runtime): selection-
    independent tasks are split out of the interaction flow and evaluated
    once server-side, so only reduced data ships to the client cube.
@@ -34,7 +41,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.engine.plan import FusedPipelineTask, LogicalPlan, PlanNode
+from repro.engine.plan import (
+    FusedPipelineTask,
+    LogicalPlan,
+    PlanNode,
+    PreludeGroupByTask,
+)
 from repro.tasks.filter import FilterTask
 from repro.tasks.groupby import GroupByTask
 from repro.tasks.map_ops import MapTask
@@ -50,6 +62,8 @@ class OptimizationReport:
     projections_inserted: int = 0
     #: partition-local nodes absorbed into fused pipeline nodes
     maps_fused: int = 0
+    #: partition-local nodes absorbed as a group-by's prelude
+    combiners_fused: int = 0
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -58,6 +72,7 @@ class OptimizationReport:
             self.filters_pushed
             or self.projections_inserted
             or self.maps_fused
+            or self.combiners_fused
         )
 
 
@@ -67,6 +82,7 @@ def optimize_plan(plan: LogicalPlan) -> OptimizationReport:
     _push_filters(plan, report)
     _prune_projections(plan, report)
     _fuse_map_chains(plan, report)
+    _fuse_into_combiners(plan, report)
     return report
 
 
@@ -194,6 +210,40 @@ def _fuse_map_chains(plan: LogicalPlan, report: OptimizationReport) -> None:
             f"fused {len(chain)} partition-local nodes into "
             f"{tail.label()}"
         )
+
+
+def _fuse_into_combiners(
+    plan: LogicalPlan, report: OptimizationReport
+) -> None:
+    """Make each group-by's sole partition-local feeder its prelude.
+
+    Runs after map-chain fusion, so a whole fused chain becomes one
+    prelude.  The group-by node keeps its id, ``materializes`` and
+    downstream edges; its task is wrapped, never mutated (the compiled
+    task set shares the instance).
+    """
+    for node in plan.topological_order():
+        if not _fusable(node) or node.materializes is not None:
+            continue
+        consumers = plan.consumers(node.id)
+        if len(consumers) != 1:
+            continue
+        groupby = consumers[0]
+        if (
+            groupby.kind != "task"
+            or not isinstance(groupby.task, GroupByTask)
+            or groupby.inputs != [node.id]
+        ):
+            continue
+        report.combiners_fused += 1
+        report.notes.append(
+            f"fused {node.label()} into {groupby.label()} as its "
+            f"combiner prelude"
+        )
+        groupby.task = PreludeGroupByTask(node.task, groupby.task)
+        groupby.inputs = list(node.inputs)
+        groupby.input_names = list(node.input_names)
+        del plan.nodes[node.id]
 
 
 def _fusable(node: PlanNode) -> bool:

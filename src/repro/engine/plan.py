@@ -19,6 +19,7 @@ from repro.compiler.dag import FlowDag
 from repro.data import Schema, Table
 from repro.errors import CompilationError
 from repro.tasks.base import Task, TaskContext
+from repro.tasks.groupby import GroupByTask
 
 
 class FusedPipelineTask(Task):
@@ -94,6 +95,29 @@ class FusedPipelineTask(Task):
             },
             sort_keys=True,
         )
+
+
+class PreludeGroupByTask(FusedPipelineTask):
+    """A group-by fused with the partition-local work feeding it.
+
+    Combiner fusion turns ``a | agg`` — ``a`` partition-local (one task
+    or a :class:`FusedPipelineTask`), not materialized and read only by
+    ``agg`` — into one plan node whose sub-tasks are ``[a, agg]``.
+    When the distributed engine runs a map-side combiner it applies
+    prelude + partial aggregate as one unit per partition, so only the
+    partials leave the worker; without a combiner it runs the prelude
+    as its own map pass first.  The local engine applies the chain as
+    is: the prelude, then the group-by.
+
+    Both tasks are held by reference and never mutated: the compiled
+    task set (which incremental refresh reads) shares the group-by.
+    The label names the whole chain (``fused:a+agg``).
+    """
+
+    def __init__(self, prelude: Task, groupby: GroupByTask):
+        super().__init__([prelude, groupby])
+        self.prelude = prelude
+        self.groupby = groupby
 
 
 @dataclass

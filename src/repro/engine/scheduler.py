@@ -30,9 +30,9 @@ across stages and runs — turning per-stage cost into one pickled
 dispatch frame per worker, with results returned through a
 shared-memory ``mmap`` arena (or the cold path's pipe frames, where
 ``mmap`` is unavailable).  ``WorkerPool(executor="processes",
-pool=...)`` dispatches to the warm pool first and silently falls back
-to cold fork when the pool cannot take the batch (closed, no fork, or
-unpicklable thunks).
+pool=...)`` dispatches to the warm pool first and falls back to cold
+fork when the pool cannot take the batch (closed, no fork, or
+unpicklable thunks — the last is logged on ``repro.pool``).
 
 Two design rules keep the determinism guarantee cheap:
 
@@ -56,6 +56,8 @@ intra-stage pool provides the concurrency.
 
 from __future__ import annotations
 
+import json
+import logging
 import os
 import pickle
 import shutil
@@ -77,6 +79,7 @@ from repro.data.table import Table
 from repro.engine.plan import LogicalPlan
 from repro.errors import WorkerLostError
 from repro.observability.instruments import record_page_codec
+from repro.tasks.base import revive_contexts_per_run
 
 #: the executor vocabulary, in documentation order
 EXECUTORS = ("threads", "processes")
@@ -96,6 +99,10 @@ POOL_MODES = ("auto", "per-stage", "per-run", "keep")
 _FRAME_FLUSH_BYTES = 1 << 20
 
 _LENGTH = struct.Struct("<Q")
+
+#: one structured (JSON) line per warm-pool batch that falls back to
+#: cold fork, naming the unit type that refused to pickle
+_LOG = logging.getLogger("repro.pool")
 
 
 def fork_available() -> bool:
@@ -267,7 +274,8 @@ class ProcessPool:
       ``max_tasks_per_worker`` or ``max_rss_bytes`` (0 disables);
     - a batch whose thunks refuse to pickle returns ``None`` so the
       caller can fall back to cold fork (closures never need to pickle
-      there) — counted in ``stats.dispatch_fallbacks``;
+      there) — counted in ``stats.dispatch_fallbacks`` and logged as
+      one JSON line on the ``repro.pool`` logger naming the unit type;
     - forked children close every other worker's inherited pipe and
       arena fd, so EOF on a dead worker's result pipe is immediate.
 
@@ -383,14 +391,26 @@ class ProcessPool:
         if not thunks:
             return []
         blobs: list[bytes] = []
-        for thunk in thunks:
+        for index, thunk in enumerate(thunks):
             try:
                 blobs.append(
                     pickle.dumps(thunk, pickle.HIGHEST_PROTOCOL)
                 )
-            except Exception:
+            except Exception as exc:
                 self.stats.dispatch_fallbacks += 1
                 self._record_event("dispatch_fallbacks")
+                _LOG.warning(
+                    "%s",
+                    json.dumps(
+                        {
+                            "event": "pool.dispatch_fallback",
+                            "unit_type": type(thunk).__name__,
+                            "unit": index,
+                            "units": len(thunks),
+                            "error": f"{type(exc).__name__}: {exc}",
+                        }
+                    ),
+                )
                 return None
         count = min(self.workers, len(thunks))
         if max_workers is not None:
@@ -938,6 +958,9 @@ def _pool_worker_main(
     finishing with ``("done", tasks, rss_bytes, arena_bytes)`` so the
     coordinator can apply its recycle policy.
     """
+    # Units unpickle their run's context once per unit; reviving one
+    # context per run keeps its value caches across the run's units.
+    revive_contexts_per_run()
     arena_fd = -1
     if arena_path is not None:
         try:

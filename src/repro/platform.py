@@ -276,9 +276,14 @@ class Platform:
         return self.save_dashboard(name, merged, user=user)
 
     def delete_dashboard(self, name: str, user: str = "") -> None:
+        """Remove a dashboard and unpublish its catalog entries, so
+        another dashboard can publish the same names."""
         with self._lock:
             self.get_dashboard(name)
             del self.dashboards[name]
+            for entry in self.catalog.entries():
+                if entry.owner == name:
+                    self.catalog.unpublish(entry.name, owner=name)
         self._log("delete", name, {}, user)
 
     def get_dashboard(self, name: str) -> Dashboard:

@@ -19,7 +19,9 @@ files (for ``extract`` operators), and the dashboard's data directory.
 from __future__ import annotations
 
 import abc
+import itertools
 import json
+import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -69,6 +71,11 @@ class TaskContext:
             for name, mapping in (dictionaries or {}).items()
         }
         self.widget_selections = dict(widget_selections or {})
+        self._init_run_local()
+        #: identifies this run's context across the process boundary
+        self._run_token = (os.getpid(), next(_RUN_TOKENS))
+
+    def _init_run_local(self) -> None:
         #: execution counters, populated by tasks (rows in/out etc.)
         self.counters: dict[str, int] = {}
         # Partition attempts may run on worker threads; counter updates
@@ -76,18 +83,21 @@ class TaskContext:
         self._lock = threading.Lock()
         self._value_caches: dict[str, dict[Any, Any]] = {}
 
-    def __getstate__(self) -> dict[str, Any]:
-        # Contexts cross into warm-pool workers by pickle; the lock is
-        # process-local and recreated on the other side.  Worker-side
-        # counter/cache mutations stay in the worker — the same
-        # semantics fork-inherited contexts already have.
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
+    def __reduce__(self) -> tuple[Any, ...]:
+        # Contexts cross into warm-pool workers by pickle, once per
+        # dispatched unit.  Counters, value caches and the lock are
+        # process-local and never travel: a pool worker revives one
+        # context per run and keeps its caches across that run's units
+        # (see revive_contexts_per_run); anywhere else an unpickled
+        # context starts with empty ones.  Worker-side counter bumps
+        # stay in the worker — the same semantics fork-inherited
+        # contexts already have.
+        state = {
+            key: value
+            for key, value in self.__dict__.items()
+            if key not in _RUN_LOCAL
+        }
+        return (_revive_context, (type(self), state))
 
     def bump(self, counter: str, amount: int = 1) -> None:
         with self._lock:
@@ -100,7 +110,9 @@ class TaskContext:
         Deterministic per-value operators use it to skip recomputing the
         same transformation — across partitions and across flows that
         apply the same task to the same feed.  The context dies with the
-        run, so there is nothing to invalidate.
+        run, so there is nothing to invalidate; a warm-pool worker keeps
+        its revived copy's caches only until the next run's context
+        arrives.
         """
         with self._lock:
             return self._value_caches.setdefault(key, {})
@@ -129,6 +141,51 @@ class TaskContext:
 
     def widget_selection(self, widget: str) -> WidgetSelection:
         return self.widget_selections.get(widget, WidgetSelection())
+
+
+#: per-process run counter; with the pid it names a run uniquely
+_RUN_TOKENS = itertools.count()
+
+#: attributes that never leave the process a context lives in
+_RUN_LOCAL = frozenset({"_lock", "_value_caches", "counters"})
+
+#: the contexts this process revived, by run token — ``None`` (no
+#: revival) except in warm-pool workers, where it holds at most the
+#: current run's context
+_revived: dict[tuple[int, int], TaskContext] | None = None
+
+
+def revive_contexts_per_run() -> None:
+    """Reuse one unpickled context per run in this process.
+
+    Called once by a warm-pool worker.  Every unit of a run unpickles
+    its own copy of the run's context; with revival on, the copies
+    resolve to one object per run token, so its value caches (the
+    run-scoped memo of :meth:`TaskContext.value_cache`) persist across
+    the run's units.  A new run's context replaces the previous one,
+    so a worker holds at most one run's caches.
+    """
+    global _revived
+    _revived = {}
+
+
+def _revive_context(
+    cls: type[TaskContext], state: dict[str, Any]
+) -> TaskContext:
+    revived = _revived
+    context = None
+    if revived is not None:
+        context = revived.get(state["_run_token"])
+    if context is None:
+        context = cls.__new__(cls)
+        context._init_run_local()
+        if revived is not None:
+            revived.clear()
+            revived[state["_run_token"]] = context
+    # Per-unit fields (e.g. the join's input_names) follow the latest
+    # unit; only the run-local caches carry over.
+    context.__dict__.update(state)
+    return context
 
 
 def _parse_dictionary(text: str) -> dict[str, str]:

@@ -17,7 +17,7 @@ are merged deterministically in declaration order.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.data import Schema, Table
 from repro.errors import TaskConfigError
@@ -52,6 +52,17 @@ class ParallelTask(Task):
     def bind(self, resolver: Callable[[str], Task]) -> None:
         """Attach the task resolver (set by the registry after build)."""
         self._resolver = resolver
+
+    def __getstate__(self) -> dict[str, Any]:
+        # The registry's resolver closes over the whole task set and
+        # cannot pickle; a pickled copy (a warm-pool dispatch) carries
+        # its resolved sub-tasks instead.
+        state = self.__dict__.copy()
+        if self._resolver is not None:
+            state["_resolver"] = dict(
+                zip(self._refs, self._sub_tasks())
+            ).__getitem__
+        return state
 
     def _sub_tasks(self) -> list[Task]:
         if self._resolver is None:

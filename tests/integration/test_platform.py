@@ -37,6 +37,47 @@ class TestLifecycle:
         with pytest.raises(ShareInsightsError):
             platform.get_dashboard("d")
 
+    def test_delete_unpublishes_catalog_entries(self):
+        platform = Platform()
+        published = FLOW.replace(
+            "        endpoint: true\n",
+            "        endpoint: true\n        publish: totals\n",
+        )
+        platform.create_dashboard(
+            "first", published, inline_tables={"raw": raw()}
+        )
+        platform.run_dashboard("first")
+        assert platform.catalog.names() == ["totals"]
+        platform.delete_dashboard("first")
+        assert platform.catalog.names() == []
+        # Another dashboard can now publish the same name.
+        platform.create_dashboard(
+            "second", published, inline_tables={"raw": raw(10)}
+        )
+        platform.run_dashboard("second")
+        assert platform.catalog.entries()[0].owner == "second"
+        assert platform.catalog.resolve("totals").num_rows == 5
+
+    @pytest.mark.parametrize("engine", ["local", "distributed"])
+    def test_rerun_reads_a_rewritten_source(self, tmp_path, engine):
+        flow = FLOW.replace(
+            "F:\n", "D.raw:\n    source: raw.csv\nF:\n"
+        )
+        (tmp_path / "raw.csv").write_text("k,v\na,1\nb,2\n")
+        platform = Platform()
+        platform.create_dashboard("d", flow, data_dir=tmp_path)
+        platform.run_dashboard("d", engine=engine)
+        (tmp_path / "raw.csv").write_text("k,v\na,10\nc,3\n")
+        platform.run_dashboard("d", engine=engine)
+        # The second run must read the file again, not the copy of
+        # raw the first run materialized.
+        dashboard = platform.get_dashboard("d")
+        assert sorted(map(repr, dashboard.materialized("raw").to_records())) == [
+            repr({"k": "a", "v": 10}), repr({"k": "c", "v": 3})
+        ]
+        out = {r["k"]: r["total"] for r in dashboard.endpoint("out").rows()}
+        assert out == {"a": 10, "c": 3}
+
     def test_duplicate_create_rejected(self):
         platform = Platform()
         platform.create_dashboard("d", FLOW, inline_tables={"raw": raw()})

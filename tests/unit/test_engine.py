@@ -273,6 +273,36 @@ class TestDistributedExecutor:
             without.table("out").to_records()
         )
 
+    @pytest.mark.parametrize("use_combiner", [True, False])
+    def test_list_valued_group_keys_match_local(self, use_combiner):
+        # extract_words emits a word list per row and the groupby
+        # explodes it; without a combiner the shuffle must route the
+        # exploded rows, or one (k, word) group lands on two reducers.
+        source = (
+            "D:\n    raw: [k, text]\n"
+            "D.raw:\n    source: raw.csv\n"
+            "F:\n    D.out: D.raw | T.words | T.agg\n"
+            "T:\n"
+            "    words:\n        type: map\n"
+            "        operator: extract_words\n"
+            "        transform: text\n        output: word\n"
+            "    agg:\n        type: groupby\n        groupby: [k, word]\n"
+        )
+        text = Table.from_rows(
+            Schema.of("k", "text"),
+            [("a", "red green"), ("a", "green blue"), ("b", "red"),
+             ("a", "red blue"), ("b", "red green"), ("a", "green")],
+        )
+        plan, _ff = compile_plan(source)
+        rows = lambda t: sorted(map(repr, t.to_records()))
+        local = LocalExecutor(make_resolver(raw=text)).run(plan)
+        dist = DistributedExecutor(
+            make_resolver(raw=text),
+            num_partitions=3,
+            use_combiner=use_combiner,
+        ).run(plan)
+        assert rows(dist.table("out")) == rows(local.table("out"))
+
     def test_topn_global_uses_partial_topn(self):
         source = (
             "D:\n    raw: [k, v]\n"

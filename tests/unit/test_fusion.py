@@ -11,9 +11,10 @@ from repro.engine import (
     build_logical_plan,
     optimize_plan,
 )
-from repro.engine.plan import FusedPipelineTask
+from repro.engine.plan import FusedPipelineTask, PreludeGroupByTask
 from repro.errors import CompilationError
 from repro.tasks.base import TaskContext
+from repro.tasks.groupby import GroupByTask
 from repro.tasks.registry import default_task_registry
 
 
@@ -125,13 +126,16 @@ class TestFusionPass:
             "        filter_expression: t > 0\n"
         )
         plan, report = compile_plan(source)
-        # groupby shuffles, so the chain breaks there: the pruning
-        # projection and the map fuse upstream of it, but the groupby
-        # and the downstream filter stay as their own stages.
+        # groupby shuffles, so the map chain breaks there: the pruning
+        # projection and the map fuse upstream of it (and then become
+        # the groupby's combiner prelude), while the downstream filter
+        # stays its own stage.
         labels = [n.label() for n in plan.topological_order()]
-        assert "groupby:agg" in labels
-        assert "filter_by:keep" in labels
-        assert not any("agg" in l and l.startswith("fused") for l in labels)
+        assert labels == [
+            "load(raw)", "fused:__prune_raw+double+agg", "filter_by:keep"
+        ]
+        assert report.maps_fused == 2
+        assert report.combiners_fused == 1
 
     def test_fused_results_match_unfused_local_and_distributed(self):
         plain, _ = compile_plan(CHAIN, optimize=False)
@@ -210,3 +214,131 @@ class TestFusedPipelineTask:
         fused = FusedPipelineTask(self._subs())
         schema = fused.output_schema([RAW.schema])
         assert schema.names == ["k", "v", "K", "v2"]
+
+
+COMBINE = (
+    "D:\n    raw: [k, v]\n"
+    "D.raw:\n    source: raw.csv\n"
+    "F:\n    D.out: D.raw | T.up | T.double | T.agg\n"
+    "T:\n"
+    "    up:\n        type: map\n        operator: upper\n"
+    "        transform: k\n        output: K\n"
+    "    double:\n        type: add_column\n        expression: v * 2\n"
+    "        output: v2\n"
+    "    agg:\n        type: groupby\n        groupby: [K]\n"
+    "        aggregates:\n"
+    "            - operator: sum\n"
+    "              apply_on: v2\n"
+    "              out_field: t\n"
+    "            - operator: count\n"
+    "              out_field: n\n"
+)
+
+WIDE = Table.from_rows(
+    Schema.of("k", "v"), [("abc"[i % 3], i) for i in range(40)]
+)
+
+
+def _compile_with_tasks(source):
+    ff = parse_flow_file(source)
+    tasks = default_task_registry().build_section(
+        {name: spec.config for name, spec in ff.tasks.items()}
+    )
+    plan = build_logical_plan(build_dag(ff), tasks)
+    return plan, tasks, optimize_plan(plan)
+
+
+class TestCombinerFusion:
+    def test_fused_chain_becomes_the_groupby_prelude(self):
+        plan, tasks, report = _compile_with_tasks(COMBINE)
+        # The pruning projection, the map and the column add fuse into
+        # one chain, which becomes the groupby's prelude.
+        assert report.maps_fused == 3
+        assert report.combiners_fused == 1
+        node = plan.node_for_output("out")
+        assert node.label() == "fused:__prune_raw+up+double+agg"
+        assert isinstance(node.task, PreludeGroupByTask)
+        assert [t.name for t in node.task.prelude.sub_tasks] == [
+            "__prune_raw", "up", "double"
+        ]
+        assert plan.nodes[node.inputs[0]].kind == "load"
+
+    def test_compiled_groupby_is_shared_not_mutated(self):
+        # Incremental refresh reads the compiled task set, so the
+        # wrapper must hold the very same, untouched group-by.
+        plan, tasks, _ = _compile_with_tasks(COMBINE)
+        before = tasks["agg"].fingerprint()
+        node = plan.node_for_output("out")
+        assert node.task.groupby is tasks["agg"]
+        assert tasks["agg"].fingerprint() == before
+        assert type(tasks["agg"]) is GroupByTask
+
+    def test_materialized_feeder_stays_its_own_stage(self):
+        source = COMBINE.replace(
+            "    D.out: D.raw | T.up | T.double | T.agg\n",
+            "    D.mid: D.raw | T.up | T.double\n"
+            "    D.out: D.mid | T.agg\n",
+        )
+        plan, _tasks, report = _compile_with_tasks(source)
+        assert report.combiners_fused == 0
+        assert plan.node_for_output("out").label() == "groupby:agg"
+
+    def test_fan_out_feeder_stays_its_own_stage(self):
+        # Two flows read raw, so the pruning projection inserted after
+        # the load feeds both group-bys and fuses into neither.
+        source = (
+            "D:\n    raw: [k, v, unused]\n"
+            "D.raw:\n    source: raw.csv\n"
+            "F:\n    D.out: D.raw | T.agg\n    D.other: D.raw | T.agg\n"
+            "T:\n    agg:\n        type: groupby\n        groupby: [k]\n"
+            "        aggregates:\n"
+            "            - operator: sum\n"
+            "              apply_on: v\n"
+        )
+        plan, _tasks, report = _compile_with_tasks(source)
+        assert report.projections_inserted == 1
+        assert report.combiners_fused == 0
+        labels = sorted(n.label() for n in plan.topological_order())
+        assert labels == [
+            "groupby:agg", "groupby:agg", "load(raw)", "project:__prune_raw"
+        ]
+
+    @pytest.mark.parametrize("use_combiner", [True, False])
+    @pytest.mark.parametrize("partitions", [1, 3])
+    def test_results_match_unfused(self, use_combiner, partitions):
+        plain, _ = compile_plan(COMBINE, optimize=False)
+        fused, _ = compile_plan(COMBINE)
+        rows = lambda t: sorted(map(repr, t.to_records()))
+        expected = rows(
+            LocalExecutor(lambda n: WIDE).run(plain).table("out")
+        )
+        assert rows(
+            LocalExecutor(lambda n: WIDE).run(fused).table("out")
+        ) == expected
+        for plan in (plain, fused):
+            result = DistributedExecutor(
+                lambda n: WIDE,
+                num_partitions=partitions,
+                use_combiner=use_combiner,
+            ).run(plan)
+            assert rows(result.table("out")) == expected
+
+    def test_stages_with_and_without_a_combiner(self):
+        fused, _ = compile_plan(COMBINE)
+        combined = DistributedExecutor(
+            lambda n: WIDE, num_partitions=3
+        ).run(fused)
+        # Prelude + partial aggregate run as one map unit per
+        # partition: one stage, and only partials are shuffled.
+        assert [(s.task, s.kind) for s in combined.stages[1:]] == [
+            ("__prune_raw+up+double+agg", "shuffle")
+        ]
+        assert combined.stages[-1].shuffled_records <= 3 * 3
+        separate = DistributedExecutor(
+            lambda n: WIDE, num_partitions=3, use_combiner=False
+        ).run(fused)
+        # No combiner: the prelude runs as its own map pass first.
+        assert [(s.task, s.kind) for s in separate.stages[1:]] == [
+            ("__prune_raw+up+double", "map"), ("agg", "shuffle")
+        ]
+        assert separate.stages[-1].shuffled_records == WIDE.num_rows

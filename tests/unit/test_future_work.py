@@ -266,7 +266,8 @@ class TestBottlenecks:
         platform.run_dashboard("d", engine="local")
         report = platform.get_dashboard("d").bottleneck_report()
         assert "local engine" in report
-        assert "groupby:agg" in report
+        # The prune projection runs as the groupby's combiner prelude.
+        assert "fused:__prune_raw+agg" in report
 
     def test_distributed_report_names_shuffles(self):
         from repro import Platform
@@ -289,7 +290,7 @@ class TestBottlenecks:
         )
         platform.run_dashboard("d", engine="distributed")
         report = platform.get_dashboard("d").bottleneck_report()
-        assert "shuffle agg" in report
+        assert "shuffle __prune_raw+agg" in report
 
     def test_no_run_yet(self):
         from repro import Platform

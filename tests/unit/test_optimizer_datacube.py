@@ -7,6 +7,7 @@ from repro.data import Schema, Table
 from repro.dsl import parse_flow_file
 from repro.engine import LocalExecutor, build_logical_plan, optimize_plan
 from repro.engine.datacube import DataCube, split_widget_pipeline
+from repro.engine.plan import PreludeGroupByTask
 from repro.tasks.base import TaskContext, WidgetSelection
 from repro.tasks.registry import default_task_registry
 
@@ -97,12 +98,14 @@ class TestProjectionPruning:
     def test_unused_columns_pruned_after_load(self):
         plan, _tasks, report = compile_plan(self.SOURCE, optimize=True)
         assert report.projections_inserted == 1
-        project_nodes = [
-            n for n in plan.topological_order()
-            if n.kind == "task" and n.task.type_name == "project"
+        # The prune projection feeds only the groupby, so combiner
+        # fusion makes it the groupby's prelude.
+        (fused,) = [
+            n for n in plan.topological_order() if n.kind == "task"
         ]
-        assert project_nodes
-        assert project_nodes[0].task.columns == ["k", "v"]
+        assert isinstance(fused.task, PreludeGroupByTask)
+        assert fused.task.prelude.type_name == "project"
+        assert fused.task.prelude.columns == ["k", "v"]
 
     def test_pruned_plan_result_unchanged(self):
         plain, _t, _r = compile_plan(self.SOURCE, optimize=False)

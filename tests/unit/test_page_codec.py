@@ -127,6 +127,33 @@ def test_pickle_of_table_is_a_page():
     assert len(encode_table(table)) < len(naive)
 
 
+def test_pickle_encodes_a_table_once(monkeypatch):
+    """A partition shipped to several stages is encoded once; a
+    mutation or an encodings toggle makes a fresh page."""
+    from repro.data import encodings, pages
+
+    calls = []
+    real = pages.encode_table
+    monkeypatch.setattr(
+        pages, "encode_table", lambda t: calls.append(t) or real(t)
+    )
+    table = Table.from_columns(
+        Schema.of("k", "n"), {"k": ["a", "b"] * 50, "n": list(range(100))}
+    )
+    first = pickle.dumps(table)
+    assert pickle.dumps(table) == first
+    assert len(calls) == 1
+    table.append_row({"k": "c", "n": 100})
+    assert pickle.loads(pickle.dumps(table)) == table
+    assert len(calls) == 2
+    previous = encodings.set_enabled(not encodings.enabled())
+    try:
+        pickle.dumps(table)
+    finally:
+        encodings.set_enabled(previous)
+    assert len(calls) == 3
+
+
 def test_plain_table_encodes_on_the_fly():
     # Tables built mid-plan via Table(schema, data) carry no encodings;
     # the codec still writes them compactly.

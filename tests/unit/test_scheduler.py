@@ -1,6 +1,9 @@
 """Unit tests for the deterministic parallel scheduling primitives."""
 
+import json
+import logging
 import os
+import pickle
 import threading
 
 import pytest
@@ -22,6 +25,7 @@ from repro.engine.scheduler import (
     stage_waves,
 )
 from repro.errors import WorkerLostError
+from repro.tasks.base import TaskContext
 from repro.tasks.registry import default_task_registry
 
 
@@ -282,11 +286,18 @@ class TestWarmProcessPool:
             assert isinstance(outcomes[0].error, ProcessTransportError)
             assert outcomes[1].value == 4
 
-    def test_unpicklable_thunk_falls_back_to_cold_fork(self):
+    def test_unpicklable_thunk_falls_back_to_cold_fork(self, caplog):
         lock = threading.Lock()
         with ProcessPool(workers=2) as pool:
-            assert pool.run_batch([lambda: bool(lock)]) is None
+            with caplog.at_level(logging.WARNING, logger="repro.pool"):
+                assert pool.run_batch([_Pid(), lambda: bool(lock)]) is None
             assert pool.stats.dispatch_fallbacks == 1
+            # One structured line names the unit that refused to pickle.
+            (record,) = caplog.records
+            line = json.loads(record.getMessage())
+            assert line["event"] == "pool.dispatch_fallback"
+            assert line["unit_type"] == "function"
+            assert (line["unit"], line["units"]) == (1, 2)
             # The WorkerPool wrapper transparently cold-forks instead.
             workers = WorkerPool(2, executor="processes", pool=pool)
             outcomes = list(
@@ -405,6 +416,61 @@ SOURCE = (
     "        output: v2\n"
     "    merge:\n        type: union\n"
 )
+
+
+class _MemoProbe:
+    """Reports how many entries its run's value cache held on entry,
+    then adds one."""
+
+    def __init__(self, context):
+        self.context = context
+
+    def __call__(self):
+        cache = self.context.value_cache("probe")
+        seen = len(cache)
+        cache[seen] = os.getpid()
+        return seen
+
+
+class TestRunScopedWorkerContext:
+    """A context crossing into a pool worker is revived once per run."""
+
+    def test_value_cache_persists_across_a_runs_units(self):
+        context = TaskContext()
+        with ProcessPool(workers=2) as pool:
+            first = [o.value for o in pool.run_batch(
+                [_MemoProbe(context) for _ in range(4)]
+            )]
+            second = [o.value for o in pool.run_batch(
+                [_MemoProbe(context) for _ in range(4)]
+            )]
+        # Units stride over two workers; each worker's memo grows
+        # across units and batches of the same run.
+        assert first == [0, 0, 1, 1]
+        assert second == [2, 2, 3, 3]
+
+    def test_new_run_starts_with_empty_caches(self):
+        first, second = TaskContext(), TaskContext()
+        with ProcessPool(workers=2) as pool:
+            pool.run_batch([_MemoProbe(first) for _ in range(4)])
+            fresh = [o.value for o in pool.run_batch(
+                [_MemoProbe(second) for _ in range(4)]
+            )]
+        assert fresh == [0, 0, 1, 1]
+
+    def test_caches_and_counters_do_not_travel(self):
+        context = TaskContext(dictionaries={"d": {"a": "A"}})
+        context.value_cache("k")["v"] = 1
+        context.bump("rows", 5)
+        copy = pickle.loads(pickle.dumps(context))
+        # Outside a pool worker an unpickled context is independent,
+        # with empty run-local state and the same configuration.
+        assert copy is not context
+        assert copy.value_cache("k") == {}
+        assert copy.counters == {}
+        assert copy.dictionary("d") == {"a": "A"}
+        copy.bump("rows")
+        assert context.counters == {"rows": 5}
 
 
 class TestStageWaves:

@@ -1,5 +1,7 @@
 """Unit tests for topn, parallel, and the structural tasks."""
 
+import pickle
+
 import pytest
 
 from repro.data import Schema, Table
@@ -150,6 +152,18 @@ class TestParallel:
 
         with pytest.raises(SchemaError):
             tasks["pipe"].output_schema([Schema.of("v")])
+
+    def test_bound_task_survives_a_pickle_round_trip(self):
+        # Warm-pool dispatch pickles every unit; the registry's resolver
+        # closure cannot travel, so the copy carries its sub-tasks.
+        task = self.make_bound()
+        copy = pickle.loads(pickle.dumps(task))
+        assert copy.sub_task_names == task.sub_task_names
+        assert copy.fingerprint() == task.fingerprint()
+        data = table([(1,), (2,)], "v")
+        assert copy.apply([data], CTX()).to_records() == task.apply(
+            [data], CTX()
+        ).to_records()
 
     def test_unbound_parallel_raises(self):
         task = ParallelTask("p", {"parallel": ["T.x"]})
