@@ -27,7 +27,7 @@ import json
 import os
 import time
 
-from conftest import report_interactive
+from conftest import report_json
 
 from repro.data import Schema, Table
 from repro.data.expressions import _compare
@@ -110,8 +110,8 @@ def test_vectorized_chain_beats_row_at_a_time():
     fast_s = best_of(REPEATS, vectorized, table)
     slow_s = best_of(REPEATS, baseline, table)
     speedup = slow_s / fast_s
-    report_interactive(
-        "adhoc_chain",
+    report_json(
+        "interactive", "adhoc_chain",
         {
             "rows": ROWS,
             "chain": "filter+groupby+orderby+limit",

@@ -34,7 +34,7 @@ import time
 import zlib
 from typing import Any, Mapping, Sequence
 
-from conftest import report_batch
+from conftest import report_json
 
 from repro import Platform
 from repro.data import Table
@@ -207,8 +207,8 @@ def test_batch_fast_path_beats_row_at_a_time():
             REPEATS, lambda: _run(dashboard, parallelism=1)
         )
     speedup = legacy_s / fast_s
-    report_batch(
-        "ipl_batch",
+    report_json(
+        "batch", "ipl_batch",
         {
             "workload": "ipl_processing",
             "tweets": TWEETS,
@@ -289,8 +289,8 @@ def test_map_chain_fusion_cuts_scheduled_stages():
     fused_stages = len(run(fused).stages)
     unfused_s = _best_of(repeats, lambda: run(plain))
     fused_s = _best_of(repeats, lambda: run(fused))
-    report_batch(
-        "map_chain_fusion",
+    report_json(
+        "batch", "map_chain_fusion",
         {
             "rows": rows,
             "partitions": partitions,

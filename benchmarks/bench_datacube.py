@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from conftest import report_interactive
+from conftest import report_json
 
 from repro.data import Schema, Table
 from repro.engine.datacube import DataCube
@@ -108,8 +108,8 @@ def test_gesture_summary_recorded():
     cached_s = time.perf_counter() - start
 
     assert cube.stats.cache_hits == 1
-    report_interactive(
-        "cube_gesture",
+    report_json(
+        "interactive", "cube_gesture",
         {
             "rows": size,
             "cold_ms": round(cold_s * 1000, 3),

@@ -33,7 +33,7 @@ import pickle
 import random
 import time
 
-from conftest import report_encoding
+from conftest import report_json
 
 from repro.data import Schema, Table
 from repro.data import encodings
@@ -128,8 +128,8 @@ def test_groupby_sort_chain_speedup():
     finally:
         encodings.set_enabled(previous)
     speedup = plain_s / encoded_s if encoded_s else float("inf")
-    report_encoding(
-        "groupby_sort_chain",
+    report_json(
+        "encoding", "groupby_sort_chain",
         {
             "rows": ROWS,
             "plain_seconds": round(plain_s, 6),
@@ -184,8 +184,8 @@ def test_ipl_page_bytes_ratio():
     assert dict(decoded._data) == dict(table._data)
 
     ratio = len(legacy) / len(page)
-    report_encoding(
-        "ipl_page_bytes",
+    report_json(
+        "encoding", "ipl_page_bytes",
         {
             "rows": rows,
             "pickle_bytes": len(legacy),

@@ -27,7 +27,7 @@ import os
 import random
 import time
 
-from conftest import report_incremental
+from conftest import report_json
 
 from repro.platform import Platform
 
@@ -145,8 +145,8 @@ def test_incremental_refresh_vs_full_rerun(tmp_path):
     full_best = min(full_seconds)
     speedup = full_best / incremental_best if incremental_best else 0.0
 
-    report_incremental(
-        "refresh_1pct_delta",
+    report_json(
+        "incremental", "refresh_1pct_delta",
         {
             "mode": "smoke" if SMOKE else "full",
             "rows": ROWS,

@@ -35,7 +35,7 @@ import re
 import time
 from typing import Any
 
-from conftest import report_ingest
+from conftest import report_json
 
 from repro.connectors.loader import DataObjectLoader
 from repro.data import Column, Schema, Table
@@ -216,8 +216,8 @@ def test_columnar_decode_beats_row_at_a_time():
     fast_s = fast_csv_s + fast_json_s
     legacy_s = legacy_csv_s + legacy_json_s
     speedup = legacy_s / fast_s
-    report_ingest(
-        "columnar_decode",
+    report_json(
+        "ingest", "columnar_decode",
         {
             "rows_per_feed": ROWS,
             "legacy_csv_ms": round(legacy_csv_s * 1000, 2),
@@ -247,8 +247,8 @@ def test_columnar_serialization_matches_and_beats_dumps():
     legacy_s = _best_of(
         REPEATS, lambda: json.dumps(table.to_records(), default=str)
     )
-    report_ingest(
-        "endpoint_serialization",
+    report_json(
+        "ingest", "endpoint_serialization",
         {
             "rows": table.num_rows,
             "legacy_ms": round(legacy_s * 1000, 2),
@@ -276,8 +276,8 @@ def test_paged_serving_skips_full_materialization():
     assert fast_page() == legacy_page()
     fast_s = _best_of(REPEATS, fast_page)
     legacy_s = _best_of(REPEATS, legacy_page)
-    report_ingest(
-        "ds_pagination",
+    report_json(
+        "ingest", "ds_pagination",
         {
             "rows": table.num_rows,
             "page": limit,
@@ -313,8 +313,8 @@ def test_parallel_load_many_is_equivalent(tmp_path):
     ]
     seq_s = _best_of(REPEATS, lambda: load(1))
     par_s = _best_of(REPEATS, lambda: load(4))
-    report_ingest(
-        "parallel_loading",
+    report_json(
+        "ingest", "parallel_loading",
         {
             "sources": len(specs),
             "rows_per_feed": ROWS,

@@ -1,7 +1,7 @@
 """Multi-core execution: the executor matrix, measured end to end.
 
 The acceptance benchmark for the process-backed executor
-(``--executor processes``) and its satellites.  Three sections land in
+(``--executor processes``) and its satellites.  Four sections land in
 ``results/BENCH_multicore.json``, each stamped with the host's
 ``cpus`` so a reader can tell a real multi-core measurement from a
 single-core correctness run:
@@ -22,14 +22,11 @@ single-core correctness run:
   (``spill_bytes=1``, worst case: every page flushes) vs in memory.
   Byte-identical output is asserted; the overhead is recorded.
 * **warm_pool** — per-stage dispatch cost on a warm
-  :class:`ProcessPool` vs cold fork-per-stage, over many tiny stages
-  where dispatch overhead *is* the workload.  Full mode on a
-  ≥4-core host asserts warm dispatch is at least
-  ``MIN_WARM_SPEEDUP`` cheaper per stage; elsewhere the ratio is
-  recorded unasserted.
-* **pool_transport** — the same warm batches returning fat columnar
-  results over the shared-memory arena vs pickled pipe frames.
-  Identical outcomes asserted; the timing ratio is recorded.
+  :class:`ProcessPool` vs a pool opened per stage (a ``WorkerPool``
+  with no pool lent), over many tiny stages where dispatch overhead
+  *is* the workload.  Full mode on a ≥4-core host asserts warm
+  dispatch is at least ``MIN_WARM_SPEEDUP`` cheaper per stage;
+  elsewhere the ratio is recorded unasserted.
 
 ``BENCH_SMOKE=1`` shrinks the row counts for CI; ``BENCH_ROWS=N``
 overrides them in either mode.
@@ -37,21 +34,17 @@ overrides them in either mode.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 
 import pytest
-from conftest import report_multicore
+from conftest import report_json
 
 from repro.connectors.loader import DataObjectLoader
 from repro.data import Schema
 from repro.engine.distributed import _hash_shuffle
-from repro.engine.scheduler import (
-    ProcessPool,
-    WorkerPool,
-    fork_available,
-    shared_memory_available,
-)
+from repro.engine.scheduler import ProcessPool, WorkerPool, fork_available
 from repro.formats import CsvFormat
 from repro.observability import Observability
 
@@ -66,7 +59,7 @@ PARTS = 4
 #: full-mode floor for processes-vs-threads on CPU-bound work, only
 #: asserted when the host has at least WORKERS cores to run them on.
 MIN_PROCESS_SPEEDUP = 2.0
-#: full-mode floor for warm-dispatch vs cold fork per-stage overhead,
+#: full-mode floor for warm-dispatch vs pool-per-stage overhead,
 #: asserted under the same core-count gate.
 MIN_WARM_SPEEDUP = 5.0
 CPUS = len(os.sched_getaffinity(0))
@@ -123,13 +116,22 @@ def _merge(outcomes) -> dict[str, int]:
 def test_process_pool_wins_cpu_bound_decode_shuffle():
     rows_per_chunk = max(1, ROWS // CHUNKS)
     payloads = [_csv_chunk(c, rows_per_chunk) for c in range(CHUNKS)]
-    thunks = lambda: [  # noqa: E731 - fresh lambdas per run
-        (lambda p=p: _decode_shuffle_unit(p)) for p in payloads
-    ]
+    # partials of a module-level function pickle, so the process
+    # executor really dispatches them instead of running them inline
+    thunks = [functools.partial(_decode_shuffle_unit, p) for p in payloads]
 
     def run(workers, executor):
-        pool = WorkerPool(workers, executor=executor)
-        return _merge(pool.map_ordered(thunks()))
+        if executor == "threads":
+            pool = WorkerPool(workers, executor=executor)
+            return _merge(pool.map_ordered(thunks))
+        # One pool per run, as a WorkerPool with none lent would open,
+        # lent here so the run can prove it dispatched every batch.
+        with ProcessPool(workers) as lent:
+            pool = WorkerPool(workers, executor=executor, pool=lent)
+            merged = _merge(pool.map_ordered(thunks))
+            assert lent.stats.dispatch_fallbacks == 0
+            assert lent.stats.warm_hits == 1
+        return merged
 
     # Correctness first: identical merged aggregates on every backend.
     sequential = run(1, "threads")
@@ -162,7 +164,7 @@ def test_process_pool_wins_cpu_bound_decode_shuffle():
         ),
         "smoke": SMOKE,
     }
-    report_multicore("decode_shuffle", payload)
+    report_json("multicore", "decode_shuffle", payload)
     if payload["speedup_asserted"]:
         assert thr_s / proc_s >= MIN_PROCESS_SPEEDUP, (
             f"processes {proc_s * 1000:.0f}ms vs threads "
@@ -203,8 +205,8 @@ def test_small_job_fallback_keeps_parallel_competitive(tmp_path):
 
     seq_s = _best_of(REPEATS, lambda: load(1))
     par_s = _best_of(REPEATS, lambda: load(4))
-    report_multicore(
-        "loader_fallback",
+    report_json(
+        "multicore", "loader_fallback",
         {
             "cpus": CPUS,
             "sources": len(specs),
@@ -232,18 +234,13 @@ class _TinyUnit:
         return self.i
 
 
-class _ColumnsUnit:
-    """A unit returning a fat columnar result (transport-bound)."""
-
-    def __init__(self, offset, size):
-        self.offset = offset
-        self.size = size
-
-    def __call__(self):
-        return {"col": list(range(self.offset, self.offset + self.size))}
-
-
 def test_warm_pool_cuts_per_stage_dispatch_overhead():
+    """A warm pool vs a pool opened per stage.
+
+    The ``cold`` side is a ``WorkerPool`` with no pool lent, so every
+    stage forks a private pool, dispatches to it and reaps it; the
+    ``warm`` side dispatches to one pre-forked pool.
+    """
     if not fork_available():
         pytest.skip("requires os.fork")
     stages = 10 if SMOKE else 40
@@ -277,56 +274,13 @@ def test_warm_pool_cuts_per_stage_dispatch_overhead():
         "speedup_asserted": not SMOKE and CPUS >= WORKERS,
         "smoke": SMOKE,
     }
-    report_multicore("warm_pool", payload)
+    report_json("multicore", "warm_pool", payload)
     if payload["speedup_asserted"]:
         assert speedup >= MIN_WARM_SPEEDUP, (
             f"warm dispatch {warm_s / stages * 1000:.2f}ms/stage vs "
-            f"cold fork {cold_s / stages * 1000:.2f}ms/stage "
+            f"pool per stage {cold_s / stages * 1000:.2f}ms/stage "
             f"(required {MIN_WARM_SPEEDUP}x)"
         )
-
-
-def test_arena_transport_vs_pipe_frames():
-    if not fork_available():
-        pytest.skip("requires os.fork")
-    if not shared_memory_available():
-        pytest.skip("requires mmap")
-    size = 20_000 if SMOKE else 200_000
-    batches = 3 if SMOKE else 10
-    units = [_ColumnsUnit(i * size, size) for i in range(WORKERS)]
-
-    def run(pool):
-        for _ in range(batches):
-            outcomes = pool.run_batch(units)
-            assert [o.value["col"][0] for o in outcomes] == [
-                i * size for i in range(WORKERS)
-            ]
-
-    with ProcessPool(workers=WORKERS, transport="shared-memory") as shm:
-        shm.prefork()
-        first = shm.run_batch(units)
-        shm_s = _best_of(REPEATS, lambda: run(shm))
-        arena_bytes = shm.stats.arena_bytes
-    with ProcessPool(workers=WORKERS, transport="frame") as frames:
-        frames.prefork()
-        second = frames.run_batch(units)
-        frame_s = _best_of(REPEATS, lambda: run(frames))
-    # Transport must be invisible in the results.
-    assert [o.value for o in first] == [o.value for o in second]
-    report_multicore(
-        "pool_transport",
-        {
-            "cpus": CPUS,
-            "workers": WORKERS,
-            "result_ints_per_unit": size,
-            "batches": batches,
-            "arena_bytes": arena_bytes,
-            "shared_memory_ms": round(shm_s * 1000, 2),
-            "frame_ms": round(frame_s * 1000, 2),
-            "frame_vs_arena": round(frame_s / shm_s, 2),
-            "smoke": SMOKE,
-        },
-    )
 
 
 def test_spilled_shuffle_is_identical_and_bounded(tmp_path):
@@ -353,8 +307,8 @@ def test_spilled_shuffle_is_identical_and_bounded(tmp_path):
         REPEATS,
         lambda: _hash_shuffle(partitions, keys, PARTS, spill_bytes=1),
     )
-    report_multicore(
-        "spill_shuffle",
+    report_json(
+        "multicore", "spill_shuffle",
         {
             "cpus": CPUS,
             "rows": rows_per_chunk * CHUNKS,

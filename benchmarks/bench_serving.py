@@ -43,7 +43,7 @@ import time
 import urllib.error
 import urllib.request
 
-from conftest import report_serving
+from conftest import report_json
 
 from repro import Platform
 from repro.data import Schema, Table
@@ -296,10 +296,10 @@ def test_serving_under_overload():
         "recovery_goodput_ratio": round(ratio, 3),
         "drained_cleanly": drained,
     }
-    report_serving("steady", steady)
-    report_serving("overload", overload)
-    report_serving("recovery", recovery)
-    report_serving("verdict", verdict)
+    report_json("serving", "steady", steady)
+    report_json("serving", "overload", overload)
+    report_json("serving", "recovery", recovery)
+    report_json("serving", "verdict", verdict)
 
     # -- the overload contract -------------------------------------------
     for phase_name, phase in [

@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from repro.dsl.diagnostics import diagnose
-from repro.engine.scheduler import EXECUTORS, POOL_MODES
+from repro.engine.scheduler import EXECUTORS
 from repro.errors import ShareInsightsError
 from repro.platform import Platform
 
@@ -93,17 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "worker pool backend: threads (default; fine for I/O) or "
             "processes (true multi-core for CPU-bound decode/shuffle; "
             "POSIX fork, falls back to threads elsewhere)"
-        ),
-    )
-    run.add_argument(
-        "--pool",
-        choices=list(POOL_MODES),
-        default="auto",
-        help=(
-            "process-pool lifetime with --executor processes: auto "
-            "(default; reuse the platform's warm pool when one exists), "
-            "keep (warm a persistent pool and reuse it), per-run (one "
-            "pool for this run), per-stage (cold fork every stage)"
         ),
     )
     run.add_argument(
@@ -273,7 +262,6 @@ def _cmd_run(args) -> int:
         fault_profile=getattr(args, "fault_profile", None),
         parallelism=getattr(args, "parallelism", 1),
         executor=getattr(args, "executor", "threads"),
-        pool=getattr(args, "pool", "auto"),
         small_job_bytes=getattr(args, "small_job_bytes", None),
     )
     print(

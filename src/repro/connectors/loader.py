@@ -238,7 +238,8 @@ class DataObjectLoader:
         resolve in spec order before any worker starts; workers run pure
         fetch+decode with no tracer or metrics access (each unit returns
         its ``(state, table, error)`` triple, so nothing depends on
-        shared memory and the ``processes`` executor works unchanged);
+        state shared with the coordinator and the ``processes``
+        executor works unchanged);
         the coordinator then replays each spec's spans and metrics — and
         re-raises the first failure inside the span it escaped from — in
         canonical spec order.  Tables, span trees and metric counters
@@ -259,8 +260,8 @@ class DataObjectLoader:
         ``--small-job-bytes`` flag and the REST ``?small_job_bytes=``
         parameter land here.  ``pool`` lends a warm
         :class:`~repro.engine.scheduler.ProcessPool` for the
-        ``processes`` executor; without one the cold fork path runs as
-        before.
+        ``processes`` executor; without one each parallel load forks a
+        private pool for the call.
         """
         specs = list(specs)
         if not specs:

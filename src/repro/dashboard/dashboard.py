@@ -185,7 +185,7 @@ class Dashboard:
         :class:`~repro.engine.scheduler.ProcessPool` to both the
         source prefetch and the distributed engine (``processes``
         executor only; ignored otherwise) — outputs stay identical,
-        stages just skip the per-stage fork cost.  ``small_job_bytes``
+        stages just skip the fork cost.  ``small_job_bytes``
         overrides the prefetch small-job threshold for this run
         (``None`` = the loader's configured default).
         """

@@ -24,7 +24,7 @@ Integer buffers are width-minimized per page (``b/h/i/q`` by min/max,
 ``B/H/I`` for dictionary codes by cardinality) and null masks are
 bit-packed, which is where the size win over pickle comes from.  Buffers
 are written in native byte order; pages only ever travel between
-processes on one host (spill files, pool pipes, the mmap arena), and a
+processes on one host (spill files and pool pipes), and a
 big-endian flag bit guards the exotic case.
 
 Columns without an encoding are re-encoded on the fly (so plain tables
@@ -35,9 +35,9 @@ encodings, so a page read back is as kernel-ready as the table that was
 written.
 
 Used by :mod:`repro.engine.spill` (shuffle overflow files), the
-process executors' result transport in :mod:`repro.engine.scheduler`,
-and ``Table.__reduce__`` (so *any* pickled table — checkpoints, cold
-worker frames, nested payloads — ships as one compact page).
+process executor's result transport in :mod:`repro.engine.scheduler`,
+and ``Table.__reduce__`` (so *any* pickled table — checkpoints,
+dispatched unit inputs, nested payloads — ships as one compact page).
 """
 
 from __future__ import annotations

@@ -363,11 +363,10 @@ def _stable_hash(key: Any) -> int:
 class _TaskUnit:
     """One partition's pure compute, as a picklable callable.
 
-    Behaviourally identical to ``lambda: task.apply(inputs, context)``
-    — the cold fork path inherits either just fine — but a module-level
-    class lets the warm pool pickle the unit into an already-forked
-    worker.  A task or input that refuses to pickle simply sends the
-    whole batch down the cold-fork fallback.
+    Behaviourally identical to ``lambda: task.apply(inputs, context)``,
+    but a module-level class lets the process pool pickle the unit into
+    an already-forked worker.  A task or input that refuses to pickle
+    simply runs the whole batch inline on the coordinator.
     """
 
     __slots__ = ("task", "inputs", "context")
@@ -403,6 +402,64 @@ class _ConcatUnit:
     def __call__(self) -> Any:
         merged = Table.concat_all(list(self.pieces), schema=self.schema)
         return self.task.apply([merged], self.context)
+
+
+class _NativeMapUnit:
+    """``native_mr`` map unit: the user's mapper over one partition.
+
+    Returns ``(bucket, key, value)`` triples routed by stable hash.
+    Picklable whenever the task's mapper is (a module-level function);
+    a closure mapper makes the batch run inline on the coordinator.
+    """
+
+    __slots__ = ("task", "partition", "parts")
+
+    def __init__(
+        self, task: NativeMapReduceTask, partition: Table, parts: int
+    ):
+        self.task = task
+        self.partition = partition
+        self.parts = parts
+
+    def __call__(self) -> list[tuple[int, Any, Any]]:
+        emitted = []
+        for row in self.partition.rows():
+            for key, value in self.task._mapper(row):
+                emitted.append(
+                    (_stable_hash(_hashable(key)) % self.parts, key, value)
+                )
+        return emitted
+
+
+class _NativeReduceUnit:
+    """``native_mr`` reduce unit: group one bucket, run the reducer."""
+
+    __slots__ = ("task", "bucket", "schema")
+
+    def __init__(
+        self,
+        task: NativeMapReduceTask,
+        bucket: list[tuple[Any, Any]],
+        schema: Any,
+    ):
+        self.task = task
+        self.bucket = bucket
+        self.schema = schema
+
+    def __call__(self) -> Table:
+        grouped: dict[Any, list[Any]] = {}
+        key_order: list[tuple[Any, Any]] = []
+        for key, value in self.bucket:
+            hkey = _hashable(key)
+            if hkey not in grouped:
+                grouped[hkey] = []
+                key_order.append((hkey, key))
+            grouped[hkey].append(value)
+        out = Table.empty(self.schema)
+        for hkey, key in key_order:
+            for row in self.task._reducer(key, grouped[hkey]):
+                out.append_row(row)
+        return out
 
 
 def _gather(partitions: Sequence[Table]) -> Table:
@@ -1296,19 +1353,6 @@ class DistributedExecutor:
         # is pure — it returns its (bucket, key, value) triples, which
         # are merged only after the attempt succeeds, so a retried
         # mapper never double-emits.
-        def map_partition(partition: Table) -> list[tuple[int, Any, Any]]:
-            emitted = []
-            for row in partition.rows():
-                for key, value in task._mapper(row):
-                    emitted.append(
-                        (
-                            _stable_hash(_hashable(key)) % self._parts,
-                            key,
-                            value,
-                        )
-                    )
-            return emitted
-
         buckets: list[list[tuple[Any, Any]]] = [
             [] for _ in range(self._parts)
         ]
@@ -1317,7 +1361,7 @@ class DistributedExecutor:
             "map",
             task.name,
             [
-                (i, lambda p=partition: map_partition(p))
+                (i, _NativeMapUnit(task, partition, self._parts))
                 for i, partition in enumerate(partitions)
             ],
             run,
@@ -1330,27 +1374,11 @@ class DistributedExecutor:
         from repro.data import Schema
 
         schema = Schema(task.output_columns)
-
-        def reduce_bucket(bucket: list[tuple[Any, Any]]) -> Table:
-            grouped: dict[Any, list[Any]] = {}
-            key_order: list[tuple[Any, Any]] = []
-            for key, value in bucket:
-                hkey = _hashable(key)
-                if hkey not in grouped:
-                    grouped[hkey] = []
-                    key_order.append((hkey, key))
-                grouped[hkey].append(value)
-            out = Table.empty(schema)
-            for hkey, key in key_order:
-                for row in task._reducer(key, grouped[hkey]):
-                    out.append_row(row)
-            return out
-
         outputs = self._run_units(
             "shuffle",
             task.name,
             [
-                (i, lambda b=bucket: reduce_bucket(b))
+                (i, _NativeReduceUnit(task, bucket, schema))
                 for i, bucket in enumerate(buckets)
             ],
             run,

@@ -13,26 +13,21 @@ Two executors sit behind the same interface (see
 - ``threads`` — a bounded :class:`~concurrent.futures.ThreadPoolExecutor`.
   Cheap to start and shares memory, but pure-python compute serializes
   on the GIL, so it only pays for I/O-bound units.
-- ``processes`` — forked worker processes (POSIX only; falls back to
-  threads where ``os.fork`` is unavailable).  Each worker inherits the
-  submitted thunks by fork — closures never need to pickle — executes
-  its stride of units, and streams the *results* back as frames.
-  Table results travel as binary page-codec blobs
-  (:mod:`repro.data.pages`): typed/dictionary columns ship raw array
-  buffers with bit-packed null masks instead of boxed objects.  Small
-  results are batched into ~1 MiB frames before the write, so
-  transfer cost stays sub-linear in rows.
+- ``processes`` — a :class:`ProcessPool` of forked workers (POSIX only;
+  falls back to threads where ``os.fork`` is unavailable).  The pool
+  forks its workers once; each batch pickles the unit thunks into one
+  dispatch frame per worker, and workers stream the *results* back as
+  length-prefixed pipe frames.  Table results travel as binary
+  page-codec blobs (:mod:`repro.data.pages`): typed/dictionary columns
+  ship raw array buffers with bit-packed null masks instead of boxed
+  objects.
 
-The process executor has two lifetimes.  The default is cold:
-``os.fork`` per stage, workers exit after their stride.  A
-:class:`ProcessPool` keeps the workers *warm* — forked once, reused
-across stages and runs — turning per-stage cost into one pickled
-dispatch frame per worker, with results returned through a
-shared-memory ``mmap`` arena (or the cold path's pipe frames, where
-``mmap`` is unavailable).  ``WorkerPool(executor="processes",
-pool=...)`` dispatches to the warm pool first and falls back to cold
-fork when the pool cannot take the batch (closed, no fork, or
-unpicklable thunks — the last is logged on ``repro.pool``).
+A pool lent by the caller (``WorkerPool(executor="processes",
+pool=...)``, normally the platform's warm pool) stays warm across
+stages and runs; without one, each batch opens a private pool and
+closes it afterwards.  A batch the pool cannot take (closed, or a
+thunk that refuses to pickle — the latter logged on ``repro.pool``)
+runs inline on the coordinator instead, with the same outcomes.
 
 Two design rules keep the determinism guarantee cheap:
 
@@ -45,13 +40,6 @@ Two design rules keep the determinism guarantee cheap:
   reporting (kill -9, ``os._exit``) surfaces as a captured
   :class:`~repro.errors.WorkerLostError`, which re-enters the engine's
   lineage-recovery path on the coordinator.
-
-:func:`stage_waves` is the plan-level view of the same idea: it groups
-plan nodes into "waves" of mutually independent stages (all inputs in
-earlier waves).  The engine keeps stage execution sequential — stage
-spans must wrap real work for ``run --profile`` to stay truthful — so
-waves are used for analysis and scheduling diagnostics, while the
-intra-stage pool provides the concurrency.
 """
 
 from __future__ import annotations
@@ -60,23 +48,15 @@ import json
 import logging
 import os
 import pickle
-import shutil
 import signal
 import struct
 import sys
-import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Iterable, Iterator, Sequence
-
-try:
-    import mmap
-except ImportError:  # pragma: no cover - mmap ships with CPython
-    mmap = None  # type: ignore[assignment]
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.data import pages as page_codec
 from repro.data.table import Table
-from repro.engine.plan import LogicalPlan
 from repro.errors import WorkerLostError
 from repro.observability.instruments import record_page_codec
 from repro.tasks.base import revive_contexts_per_run
@@ -84,24 +64,10 @@ from repro.tasks.base import revive_contexts_per_run
 #: the executor vocabulary, in documentation order
 EXECUTORS = ("threads", "processes")
 
-#: the warm-pool result transports, in documentation order
-TRANSPORTS = ("shared-memory", "frame")
-
-#: how a run uses the platform's warm pool (CLI ``run --pool``):
-#: ``auto`` uses the platform pool when one is warm, ``per-stage``
-#: forces the cold fork-per-stage path, ``per-run`` forks a private
-#: pool for one run, ``keep`` warms the persistent platform pool
-POOL_MODES = ("auto", "per-stage", "per-run", "keep")
-
-#: flush the child's result buffer once this many pickled bytes
-#: accumulate — small unit results batch into one write, large tables
-#: ship alone (the size-aware batching heuristic)
-_FRAME_FLUSH_BYTES = 1 << 20
-
 _LENGTH = struct.Struct("<Q")
 
-#: one structured (JSON) line per warm-pool batch that falls back to
-#: cold fork, naming the unit type that refused to pickle
+#: one structured (JSON) line per pool batch that falls back to inline
+#: execution, naming the unit type that refused to pickle
 _LOG = logging.getLogger("repro.pool")
 
 
@@ -117,33 +83,6 @@ def resolve_executor(executor: str) -> str:
         raise ValueError(
             f"unknown executor {executor!r}; choose one of "
             f"{', '.join(EXECUTORS)}"
-        )
-    return name
-
-
-def resolve_transport(transport: str) -> str:
-    """Validate a warm-pool transport name against :data:`TRANSPORTS`."""
-    name = str(transport).lower()
-    if name not in TRANSPORTS:
-        raise ValueError(
-            f"unknown transport {transport!r}; choose one of "
-            f"{', '.join(TRANSPORTS)}"
-        )
-    return name
-
-
-def shared_memory_available() -> bool:
-    """True when the arena transport can run (fork + ``mmap``)."""
-    return fork_available() and mmap is not None
-
-
-def resolve_pool_mode(mode: str) -> str:
-    """Validate a pool mode name against :data:`POOL_MODES`."""
-    name = str(mode).lower()
-    if name not in POOL_MODES:
-        raise ValueError(
-            f"unknown pool mode {mode!r}; choose one of "
-            f"{', '.join(POOL_MODES)}"
         )
     return name
 
@@ -178,15 +117,10 @@ class ProcessTransportError(RuntimeError):
 
 
 class PoolStats:
-    """Lifetime counters for one :class:`ProcessPool`.
-
-    ``arena_bytes`` is a high-water mark (largest total arena footprint
-    any single batch produced); everything else is a monotonic count.
-    """
+    """Lifetime counters for one :class:`ProcessPool` (all monotonic)."""
 
     __slots__ = (
-        "forks", "recycled", "respawns", "warm_hits",
-        "dispatch_fallbacks", "arena_bytes",
+        "forks", "recycled", "respawns", "warm_hits", "dispatch_fallbacks",
     )
 
     def __init__(self) -> None:
@@ -195,7 +129,6 @@ class PoolStats:
         self.respawns = 0
         self.warm_hits = 0
         self.dispatch_fallbacks = 0
-        self.arena_bytes = 0
 
     def as_dict(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -208,54 +141,28 @@ class PoolStats:
 
 
 class _PoolWorker:
-    """Coordinator-side handle for one live warm worker."""
+    """Coordinator-side handle for one live pool worker."""
 
-    __slots__ = (
-        "pid", "dispatch_w", "result_r", "arena_path", "arena_fd",
-        "arena_mm", "tasks_done", "rss_bytes",
-    )
+    __slots__ = ("pid", "dispatch_w", "result_r", "tasks_done", "rss_bytes")
 
-    def __init__(
-        self, pid: int, dispatch_w: int, result_r: int,
-        arena_path: str | None,
-    ):
+    def __init__(self, pid: int, dispatch_w: int, result_r: int):
         self.pid = pid
         self.dispatch_w = dispatch_w
         self.result_r = result_r
-        self.arena_path = arena_path
-        self.arena_fd = -1
-        self.arena_mm: Any = None
         self.tasks_done = 0
         self.rss_bytes = 0
 
-    def fds(self) -> list[int]:
-        fds = [self.dispatch_w, self.result_r]
-        if self.arena_fd >= 0:
-            fds.append(self.arena_fd)
-        return fds
-
 
 class ProcessPool:
-    """A persistent pool of forked workers, warm across stages and runs.
+    """A pool of forked workers, warm across the batches it serves.
 
-    The cold path (:meth:`WorkerPool._map_processes`) pays ``os.fork``
-    per stage and inherits the thunks by fork.  A warm pool forks its
-    workers **once**; every stage after that is a *dispatch*: the
-    coordinator pickles each unit thunk, sends one length-prefixed
-    dispatch frame per worker over its pipe, and workers stream results
-    back — so steady-state stage overhead is two pipe round trips, not
+    The pool forks its workers **once** (lazily on the first batch, or
+    up front via :meth:`prefork`); every batch after that is a
+    *dispatch*: the coordinator pickles each unit thunk, sends one
+    length-prefixed dispatch frame per worker over its pipe, and
+    workers stream one pickled result frame per unit back over a second
+    pipe — so steady-state batch overhead is two pipe round trips, not
     ``workers`` forks.
-
-    Results travel on one of two transports (:data:`TRANSPORTS`):
-
-    - ``shared-memory`` — the worker appends each pickled result page
-      to its own ``mmap``-backed arena file (same length-prefixed page
-      format as ``engine/spill.py``), and the pipe carries only a tiny
-      ``(unit, offset, length)`` descriptor; the coordinator maps the
-      arena read-only and unpickles straight out of the mapping, so
-      page bytes never traverse a pipe.
-    - ``frame`` — the PR 7 pickled-pipe frames, used automatically when
-      ``mmap`` is unavailable or an arena write fails mid-batch.
 
     The dispatch protocol needs no event loop to be deadlock-free: a
     worker fully reads its dispatch frame before writing any result,
@@ -267,17 +174,16 @@ class ProcessPool:
     Failure and hygiene policy:
 
     - a worker that dies mid-batch surfaces its unfinished units as
-      :class:`~repro.errors.WorkerLostError` (same contract as the cold
-      path, so lineage recovery just works) and is respawned before the
-      next batch;
+      :class:`~repro.errors.WorkerLostError` (so the engine's lineage
+      recovery just works) and is respawned before the next batch;
     - workers are recycled between batches once they exceed
       ``max_tasks_per_worker`` or ``max_rss_bytes`` (0 disables);
     - a batch whose thunks refuse to pickle returns ``None`` so the
-      caller can fall back to cold fork (closures never need to pickle
-      there) — counted in ``stats.dispatch_fallbacks`` and logged as
-      one JSON line on the ``repro.pool`` logger naming the unit type;
-    - forked children close every other worker's inherited pipe and
-      arena fd, so EOF on a dead worker's result pipe is immediate.
+      caller can run it inline instead — counted in
+      ``stats.dispatch_fallbacks`` and logged as one JSON line on the
+      ``repro.pool`` logger naming the unit type;
+    - forked children close every other worker's inherited pipes, so
+      EOF on a dead worker's result pipe is immediate.
 
     ``tracer`` is deliberately ``None`` by default: ``pool.dispatch``
     spans nest under the innermost open span and would change the span
@@ -292,20 +198,16 @@ class ProcessPool:
         *,
         max_tasks_per_worker: int = 0,
         max_rss_bytes: int = 0,
-        transport: str = "shared-memory",
         metrics: Any = None,
         tracer: Any = None,
     ):
         self.workers = max(1, int(workers))
         self.max_tasks_per_worker = max(0, int(max_tasks_per_worker))
         self.max_rss_bytes = max(0, int(max_rss_bytes))
-        self.transport = resolve_transport(transport)
         self.metrics = metrics
         self.tracer = tracer
         self.stats = PoolStats()
         self._slots: list[_PoolWorker | None] = [None] * self.workers
-        self._dir: str | None = None
-        self._seq = 0
         self._closed = False
         # One dispatch at a time: the platform shares its warm pool
         # across serving threads, so concurrent run_batch calls must
@@ -342,10 +244,10 @@ class ProcessPool:
             return self.alive()
 
     def close(self) -> None:
-        """Retire every worker and remove the arena directory.
+        """Retire and reap every worker.
 
         Waits for an in-flight dispatch to finish first, so draining
-        callers never yank arenas out from under a running batch.
+        callers never kill workers out from under a running batch.
         """
         if self._closed:
             return
@@ -357,9 +259,6 @@ class ProcessPool:
                 if worker is not None:
                     self._retire(worker)
                     self._slots[slot] = None
-            if self._dir is not None:
-                shutil.rmtree(self._dir, ignore_errors=True)
-                self._dir = None
 
     def __enter__(self) -> "ProcessPool":
         return self
@@ -374,7 +273,7 @@ class ProcessPool:
         thunks: Sequence[Callable[[], Any]],
         max_workers: int | None = None,
     ) -> list[UnitOutcome] | None:
-        """Run a batch on the warm workers, outcomes in unit order.
+        """Run a batch on the pool's workers, outcomes in unit order.
 
         ``max_workers`` caps how many workers this batch strides over
         (a 4-worker platform pool serving a ``parallelism=2`` run uses
@@ -382,8 +281,8 @@ class ProcessPool:
 
         Returns ``None`` when the batch cannot be dispatched (pool
         closed, fork unavailable, or a thunk refused to pickle) — the
-        caller falls back to the cold fork path, which inherits
-        closures and needs no dispatch pickling.
+        caller then runs it inline.  Pickling happens before any fork,
+        so a refused batch never spawns a worker.
         """
         if not self.available():
             return None
@@ -421,10 +320,7 @@ class ProcessPool:
             if self.tracer is None:
                 return self._dispatch(thunks, blobs, count)
             with self.tracer.span(
-                "pool.dispatch",
-                units=len(thunks),
-                workers=count,
-                transport=self._transport_in_use(),
+                "pool.dispatch", units=len(thunks), workers=count
             ):
                 return self._dispatch(thunks, blobs, count)
 
@@ -442,11 +338,6 @@ class ProcessPool:
             list(range(offset, len(thunks), count))
             for offset in range(count)
         ]
-        # Workers are idle (blocked reading dispatch) between batches,
-        # so truncating their arenas is safe: the O_APPEND writes of
-        # the coming batch land at the new end of file.
-        for worker in active:
-            self._reset_arena(worker)
         dead: set[int] = set()
         for offset, worker in enumerate(active):
             frame = pickle.dumps(
@@ -458,18 +349,9 @@ class ProcessPool:
             except OSError:
                 dead.add(offset)
         outcomes: dict[int, UnitOutcome] = {}
-        arena_total = 0
         for offset, worker in enumerate(active):
-            if offset in dead:
-                continue
-            arena_size = self._collect(worker, outcomes)
-            if arena_size is None:
+            if offset not in dead and not self._collect(worker, outcomes):
                 dead.add(offset)
-            else:
-                arena_total += arena_size
-        if arena_total > self.stats.arena_bytes:
-            self.stats.arena_bytes = arena_total
-            self._record_arena(arena_total)
         for offset, worker in enumerate(active):
             if offset in dead:
                 self._reap(worker, kill=True)
@@ -502,28 +384,20 @@ class ProcessPool:
 
     def _collect(
         self, worker: _PoolWorker, outcomes: dict[int, UnitOutcome]
-    ) -> int | None:
-        """Drain one worker's results; arena bytes used, None if dead."""
+    ) -> bool:
+        """Drain one worker's results; False if it died mid-batch."""
         while True:
             message = _read_msg(worker.result_r)
             if message is None:
-                return None
-            tag = message[0]
-            if tag == "done":
-                _tag, tasks, rss_bytes, arena_size = message
+                return False
+            if message[0] == "done":
+                _tag, tasks, rss_bytes = message
                 worker.tasks_done += tasks
                 worker.rss_bytes = rss_bytes
-                return arena_size
-            index = message[1]
-            view: memoryview | None = None
+                return True
+            _tag, index, entry = message
             try:
-                if tag == "shm":
-                    view = self._arena_view(
-                        worker, message[2], message[3]
-                    )
-                    unit_index, kind, payload = pickle.loads(view)
-                else:
-                    unit_index, kind, payload = pickle.loads(message[2])
+                unit_index, kind, payload = pickle.loads(entry)
                 if kind == "tbl":
                     if self.metrics is not None:
                         record_page_codec(
@@ -536,16 +410,11 @@ class ProcessPool:
             except Exception as exc:
                 outcomes[index] = UnitOutcome(
                     error=ProcessTransportError(
-                        f"unit {index} result could not be read from "
-                        f"the {tag} transport: {exc!r}"
+                        f"unit {index} result could not be read back "
+                        f"from the worker: {exc!r}"
                     )
                 )
                 continue
-            finally:
-                # release before the next page can re-mmap the arena —
-                # closing a mapping with exported views is an error
-                if view is not None:
-                    view.release()
             if kind == "err":
                 outcomes[unit_index] = UnitOutcome(error=payload)
             else:
@@ -556,21 +425,13 @@ class ProcessPool:
     def _spawn(self, slot: int) -> _PoolWorker:
         dispatch_r, dispatch_w = os.pipe()
         result_r, result_w = os.pipe()
-        arena_path = None
-        if self._use_arena():
-            self._seq += 1
-            arena_path = os.path.join(
-                self._arena_dir(), f"arena-{slot}-{self._seq}.pages"
-            )
-            with open(arena_path, "wb"):
-                pass
         # fds fork-inherited from *other* workers: the child closes
         # them so a dead sibling's pipes still EOF immediately.
         inherited = [
             fd
             for worker in self._slots
             if worker is not None
-            for fd in worker.fds()
+            for fd in (worker.dispatch_w, worker.result_r)
         ]
         pid = os.fork()
         if pid == 0:  # worker: serve dispatch frames until "exit"
@@ -583,13 +444,15 @@ class ProcessPool:
                         os.close(fd)
                     except OSError:
                         pass
-                _pool_worker_main(dispatch_r, result_w, arena_path)
+                _pool_worker_main(dispatch_r, result_w)
                 status = 0
             finally:
+                # _exit skips inherited atexit/flush machinery — the
+                # worker owns nothing but its pipes.
                 os._exit(status)
         os.close(dispatch_r)
         os.close(result_w)
-        worker = _PoolWorker(pid, dispatch_w, result_r, arena_path)
+        worker = _PoolWorker(pid, dispatch_w, result_r)
         self._slots[slot] = worker
         self.stats.forks += 1
         self._record_event("forks")
@@ -614,16 +477,11 @@ class ProcessPool:
         self._reap(worker, kill=False)
 
     def _reap(self, worker: _PoolWorker, kill: bool) -> None:
-        if worker.arena_mm is not None:
-            worker.arena_mm.close()
-            worker.arena_mm = None
-        for fd in (worker.dispatch_w, worker.result_r, worker.arena_fd):
-            if fd >= 0:
-                try:
-                    os.close(fd)
-                except OSError:
-                    pass
-        worker.arena_fd = -1
+        for fd in (worker.dispatch_w, worker.result_r):
+            try:
+                os.close(fd)
+            except OSError:
+                pass
         if kill:
             try:
                 os.kill(worker.pid, signal.SIGKILL)
@@ -633,62 +491,6 @@ class ProcessPool:
             os.waitpid(worker.pid, 0)
         except ChildProcessError:
             pass
-        if worker.arena_path is not None:
-            try:
-                os.unlink(worker.arena_path)
-            except OSError:
-                pass
-
-    # -- arenas ----------------------------------------------------------
-
-    def _use_arena(self) -> bool:
-        return (
-            self.transport == "shared-memory"
-            and shared_memory_available()
-        )
-
-    def _transport_in_use(self) -> str:
-        return "shared-memory" if self._use_arena() else "frame"
-
-    def _arena_dir(self) -> str:
-        if self._dir is None:
-            self._dir = tempfile.mkdtemp(prefix="repro-pool-")
-        return self._dir
-
-    def _reset_arena(self, worker: _PoolWorker) -> None:
-        if worker.arena_path is None:
-            return
-        if worker.arena_mm is not None:
-            worker.arena_mm.close()
-            worker.arena_mm = None
-        try:
-            os.truncate(worker.arena_path, 0)
-        except OSError:
-            pass
-
-    def _arena_view(
-        self, worker: _PoolWorker, offset: int, length: int
-    ) -> memoryview:
-        """A read-only view of one result page in the worker's arena.
-
-        The mapping is created lazily and re-created whenever the arena
-        has grown past it; the descriptor's page is always on disk by
-        the time its pipe message arrives, because the worker's
-        O_APPEND write completes before it sends the descriptor.
-        """
-        end = offset + length
-        if worker.arena_mm is None or len(worker.arena_mm) < end:
-            if worker.arena_mm is not None:
-                worker.arena_mm.close()
-                worker.arena_mm = None
-            if worker.arena_fd < 0:
-                worker.arena_fd = os.open(
-                    worker.arena_path, os.O_RDONLY
-                )
-            worker.arena_mm = mmap.mmap(
-                worker.arena_fd, 0, prot=mmap.PROT_READ
-            )
-        return memoryview(worker.arena_mm)[offset:end]
 
     # -- telemetry -------------------------------------------------------
 
@@ -697,12 +499,6 @@ class ProcessPool:
             from repro.observability.instruments import record_pool_event
 
             record_pool_event(self.metrics, event)
-
-    def _record_arena(self, size: int) -> None:
-        if self.metrics is not None:
-            from repro.observability.instruments import record_pool_arena
-
-            record_pool_arena(self.metrics, size)
 
 
 class WorkerPool:
@@ -716,9 +512,12 @@ class WorkerPool:
     submission order.
 
     ``executor`` picks the backend: ``"threads"`` (default) or
-    ``"processes"`` (forked workers, POSIX only; silently backed by
-    threads where fork is unavailable so results never depend on the
-    host OS).
+    ``"processes"`` (a :class:`ProcessPool`, POSIX only; silently
+    backed by threads where fork is unavailable so results never
+    depend on the host OS).  ``pool`` lends a long-lived
+    :class:`ProcessPool`; without one, each batch opens a private pool
+    and closes it afterwards.  A batch the pool cannot dispatch runs
+    inline on the coordinator.
     """
 
     def __init__(
@@ -729,8 +528,8 @@ class WorkerPool:
     ):
         self.workers = max(1, int(workers))
         self.executor = resolve_executor(executor)
-        # A warm pool only makes sense for the process executor; with
-        # threads it is silently ignored so callers can thread one
+        # A process pool only makes sense for the process executor;
+        # with threads it is silently ignored so callers can thread one
         # through unconditionally.
         self.pool = pool if self.executor == "processes" else None
 
@@ -747,11 +546,13 @@ class WorkerPool:
                 outcomes = self.pool.run_batch(
                     thunks, max_workers=self.workers
                 )
-                if outcomes is not None:
-                    yield from outcomes
-                    return
-                # unpicklable batch: cold fork inherits the closures
-            yield from self._map_processes(thunks)
+            else:
+                with ProcessPool(min(self.workers, len(thunks))) as pool:
+                    outcomes = pool.run_batch(thunks)
+            if outcomes is None:
+                # closed pool or unpicklable batch: run it right here
+                outcomes = [self._call(thunk) for thunk in thunks]
+            yield from outcomes
             return
         with ThreadPoolExecutor(
             max_workers=min(self.workers, len(thunks))
@@ -767,92 +568,50 @@ class WorkerPool:
         except BaseException as exc:  # captured; re-raised by the merger
             return UnitOutcome(error=exc)
 
-    # -- process backend -------------------------------------------------
 
-    def _map_processes(
-        self, thunks: list[Callable[[], Any]]
-    ) -> Iterator[UnitOutcome]:
-        """Fork workers, stride the units, merge in submission order.
+# -- worker side ----------------------------------------------------------
 
-        Worker *k* of *W* executes units ``k, k+W, k+2W, ...`` (striding
-        balances positional skew) and streams pickled outcome frames
-        through a pipe.  The parent drains the pipes worker by worker,
-        then yields outcomes in unit order.  Children are always reaped
-        — on the error path they are killed first, so no orphan worker
-        survives a failed stage.
-        """
-        workers = min(self.workers, len(thunks))
-        children: list[tuple[int, int]] = []  # (pid, read_fd)
-        outcomes: dict[int, UnitOutcome] = {}
-        try:
-            for offset in range(workers):
-                indices = range(offset, len(thunks), workers)
-                read_fd, write_fd = os.pipe()
-                pid = os.fork()
-                if pid == 0:  # worker: pure compute, then hard exit
-                    status = 1
-                    try:
-                        os.close(read_fd)
-                        _child_main(thunks, indices, write_fd)
-                        status = 0
-                    finally:
-                        # _exit skips inherited atexit/flush machinery —
-                        # the worker owns nothing but its pipe.
-                        os._exit(status)
-                os.close(write_fd)
-                children.append((pid, read_fd))
-            for pid, read_fd in children:
-                for index, outcome in _read_outcomes(read_fd):
-                    outcomes[index] = outcome
-        except BaseException:
-            for pid, _fd in children:
+
+def _pool_worker_main(dispatch_r: int, result_w: int) -> None:
+    """Serve dispatch frames until an ``exit`` message or pipe EOF.
+
+    Each batch: unpickle the unit thunks, run them in stride order,
+    report every outcome as a ``("unit", index, entry)`` pipe message,
+    and finish with ``("done", tasks, rss_bytes)`` so the coordinator
+    can apply its recycle policy.
+    """
+    # Units unpickle their run's context once per unit; reviving one
+    # context per run keeps its value caches across the run's units.
+    revive_contexts_per_run()
+    try:
+        while True:
+            message = _read_msg(dispatch_r)
+            if message is None or message[0] == "exit":
+                return
+            done = 0
+            for index, blob in message[1]:
                 try:
-                    os.kill(pid, signal.SIGKILL)
-                except OSError:
-                    pass
-            raise
-        finally:
-            for pid, read_fd in children:
-                try:
-                    os.close(read_fd)
-                except OSError:
-                    pass
-                try:
-                    os.waitpid(pid, 0)
-                except ChildProcessError:
-                    pass
-        for index in range(len(thunks)):
-            outcome = outcomes.get(index)
-            if outcome is None:
-                # The worker died before reporting this unit; the
-                # engine's lineage recovery recomputes it inline.
-                outcome = UnitOutcome(
-                    error=WorkerLostError(
-                        f"process worker exited before reporting "
-                        f"unit {index}"
+                    thunk = pickle.loads(blob)
+                except Exception as exc:
+                    outcome = UnitOutcome(
+                        error=ProcessTransportError(
+                            f"unit {index} dispatch frame could not "
+                            f"be unpickled in the worker: {exc!r}"
+                        )
                     )
+                else:
+                    outcome = WorkerPool._call(thunk)
+                _write_msg(
+                    result_w, ("unit", index, _encode_entry(index, outcome))
                 )
-            yield outcome
-
-
-def _child_main(
-    thunks: Sequence[Callable[[], Any]],
-    indices: Iterable[int],
-    write_fd: int,
-) -> None:
-    """Run one worker's stride of units and stream outcome frames."""
-    buffer: list[bytes] = []
-    buffered = 0
-    for index in indices:
-        entry = _encode_entry(index, WorkerPool._call(thunks[index]))
-        buffer.append(entry)
-        buffered += len(entry)
-        if buffered >= _FRAME_FLUSH_BYTES:
-            _write_frame(write_fd, buffer)
-            buffer, buffered = [], 0
-    if buffer:
-        _write_frame(write_fd, buffer)
-    os.close(write_fd)
+                done += 1
+            _write_msg(result_w, ("done", done, _rss_bytes()))
+    finally:
+        for fd in (dispatch_r, result_w):
+            try:
+                os.close(fd)
+            except OSError:
+                pass
 
 
 def _encode_entry(index: int, outcome: UnitOutcome) -> bytes:
@@ -864,7 +623,7 @@ def _encode_entry(index: int, outcome: UnitOutcome) -> bytes:
     the coordinator can meter codec bytes without re-serialising.
     Anything that refuses to serialise — exotic results, exceptions
     carrying live handles — degrades to a
-    :class:`ProcessTransportError` carrying the repr, so the frame
+    :class:`ProcessTransportError` carrying the repr, so the result
     stream itself never breaks.
     """
     kind = "err" if outcome.failed else "ok"
@@ -891,44 +650,27 @@ def _encode_entry(index: int, outcome: UnitOutcome) -> bytes:
         )
 
 
-def _write_frame(write_fd: int, entries: list[bytes]) -> None:
-    blob = _LENGTH.pack(len(entries)) + b"".join(
-        _LENGTH.pack(len(entry)) + entry for entry in entries
-    )
-    os.write(write_fd, _LENGTH.pack(len(blob)))
-    remaining = memoryview(blob)
-    while remaining:
-        written = os.write(write_fd, remaining)
-        remaining = remaining[written:]
+def _rss_bytes() -> int:
+    """This process's peak RSS in bytes (0 where unavailable)."""
+    try:
+        import resource
+
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    except Exception:
+        return 0
+    # ru_maxrss is KiB on Linux, bytes on macOS
+    return int(peak) if sys.platform == "darwin" else int(peak) * 1024
 
 
-def _read_outcomes(read_fd: int) -> Iterator[tuple[int, UnitOutcome]]:
-    """Parse ``(index, outcome)`` entries from one worker's pipe."""
-    while True:
-        header = _read_exact(read_fd, _LENGTH.size)
-        if header is None:
-            return
-        blob = _read_exact(read_fd, _LENGTH.unpack(header)[0])
-        if blob is None:
-            return  # worker died mid-frame; missing units surface above
-        view = memoryview(blob)
-        (count,) = _LENGTH.unpack_from(view, 0)
-        offset = _LENGTH.size
-        for _ in range(count):
-            (size,) = _LENGTH.unpack_from(view, offset)
-            offset += _LENGTH.size
-            index, kind, payload = pickle.loads(
-                view[offset:offset + size]
-            )
-            offset += size
-            if kind == "err":
-                yield index, UnitOutcome(error=payload)
-            elif kind == "tbl":
-                yield index, UnitOutcome(
-                    value=page_codec.decode_table(payload)
-                )
-            else:
-                yield index, UnitOutcome(value=payload)
+def _write_msg(fd: int, obj: Any) -> None:
+    _write_msg_raw(fd, pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
+
+
+def _write_msg_raw(fd: int, blob: bytes) -> None:
+    view = memoryview(_LENGTH.pack(len(blob)) + blob)
+    while view:
+        written = os.write(fd, view)
+        view = view[written:]
 
 
 def _read_exact(read_fd: int, size: int) -> bytes | None:
@@ -943,111 +685,6 @@ def _read_exact(read_fd: int, size: int) -> bytes | None:
     return b"".join(chunks)
 
 
-# -- warm-pool worker side ----------------------------------------------
-
-
-def _pool_worker_main(
-    dispatch_r: int, result_w: int, arena_path: str | None
-) -> None:
-    """Serve dispatch frames until an ``exit`` message or pipe EOF.
-
-    Each batch: unpickle the unit thunks, run them in stride order, and
-    report every outcome — through the arena when one is configured
-    (page on disk first, then the ``("shm", index, offset, length)``
-    descriptor), else as ``("frame", index, entry)`` pipe messages —
-    finishing with ``("done", tasks, rss_bytes, arena_bytes)`` so the
-    coordinator can apply its recycle policy.
-    """
-    # Units unpickle their run's context once per unit; reviving one
-    # context per run keeps its value caches across the run's units.
-    revive_contexts_per_run()
-    arena_fd = -1
-    if arena_path is not None:
-        try:
-            arena_fd = os.open(arena_path, os.O_WRONLY | os.O_APPEND)
-        except OSError:
-            arena_fd = -1
-    try:
-        while True:
-            message = _read_msg(dispatch_r)
-            if message is None or message[0] == "exit":
-                return
-            done = 0
-            for index, blob in message[1]:
-                try:
-                    thunk = pickle.loads(blob)
-                except Exception as exc:
-                    outcome = UnitOutcome(
-                        error=ProcessTransportError(
-                            f"unit {index} dispatch frame could not "
-                            f"be unpickled in the worker: {exc!r}"
-                        )
-                    )
-                else:
-                    outcome = WorkerPool._call(thunk)
-                entry = _encode_entry(index, outcome)
-                sent = False
-                if arena_fd >= 0:
-                    try:
-                        _write_all(
-                            arena_fd,
-                            _LENGTH.pack(len(entry)) + entry,
-                        )
-                        end = os.lseek(arena_fd, 0, os.SEEK_CUR)
-                        _write_msg(
-                            result_w,
-                            ("shm", index, end - len(entry), len(entry)),
-                        )
-                        sent = True
-                    except OSError:
-                        arena_fd = -1  # degrade to frames for the rest
-                if not sent:
-                    _write_msg(result_w, ("frame", index, entry))
-                done += 1
-            arena_size = (
-                os.lseek(arena_fd, 0, os.SEEK_CUR)
-                if arena_fd >= 0
-                else 0
-            )
-            _write_msg(
-                result_w, ("done", done, _rss_bytes(), arena_size)
-            )
-    finally:
-        for fd in (dispatch_r, result_w, arena_fd):
-            if fd >= 0:
-                try:
-                    os.close(fd)
-                except OSError:
-                    pass
-
-
-def _rss_bytes() -> int:
-    """This process's peak RSS in bytes (0 where unavailable)."""
-    try:
-        import resource
-
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    except Exception:
-        return 0
-    # ru_maxrss is KiB on Linux, bytes on macOS
-    return int(peak) if sys.platform == "darwin" else int(peak) * 1024
-
-
-def _write_all(fd: int, blob: bytes) -> None:
-    view = memoryview(blob)
-    while view:
-        written = os.write(fd, view)
-        view = view[written:]
-
-
-def _write_msg(fd: int, obj: Any) -> None:
-    _write_msg_raw(fd, pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
-
-
-def _write_msg_raw(fd: int, blob: bytes) -> None:
-    _write_all(fd, _LENGTH.pack(len(blob)) + blob)
-
-
 def _read_msg(fd: int) -> Any | None:
     """One length-prefixed pickled message, or None on EOF/corruption."""
     header = _read_exact(fd, _LENGTH.size)
@@ -1060,25 +697,3 @@ def _read_msg(fd: int) -> Any | None:
         return pickle.loads(blob)
     except Exception:
         return None
-
-
-def stage_waves(plan: LogicalPlan) -> list[list[str]]:
-    """Group plan nodes into waves of mutually independent stages.
-
-    Wave *k* holds every node whose longest input chain has length *k*;
-    all of a node's inputs live in strictly earlier waves, so the nodes
-    of one wave could execute concurrently.  Node order within a wave
-    follows :meth:`LogicalPlan.topological_order`, keeping the result
-    deterministic for a given plan.
-    """
-    level: dict[str, int] = {}
-    waves: list[list[str]] = []
-    for node in plan.topological_order():
-        depth = 1 + max(
-            (level[input_id] for input_id in node.inputs), default=-1
-        )
-        level[node.id] = depth
-        while len(waves) <= depth:
-            waves.append([])
-        waves[depth].append(node.id)
-    return waves

@@ -15,7 +15,7 @@ Pages are serialised with the binary page codec
 (:mod:`repro.data.pages`): typed/dictionary-encoded columns ship as
 raw array buffers with bit-packed null masks, plain object columns
 fall back to pickle inside the same framing — the same format the
-process executor ships over shared memory and pipes.  Each page is
+process executor ships over its result pipes.  Each page is
 written as an 8-byte little-endian length followed by the codec blob.
 
 Temp-file lifecycle: :class:`SpillManager` owns one

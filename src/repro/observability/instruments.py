@@ -54,7 +54,6 @@ POOL_RECYCLED = "repro_pool_recycled_total"
 POOL_RESPAWNS = "repro_pool_respawns_total"
 POOL_WARM_HITS = "repro_pool_warm_hits_total"
 POOL_DISPATCH_FALLBACKS = "repro_pool_dispatch_fallbacks_total"
-POOL_ARENA_BYTES = "repro_pool_arena_bytes"
 REFRESH_CYCLES = "repro_refresh_cycles_total"
 REFRESH_RUNS = "repro_refresh_runs_total"
 REFRESH_DURATION = "repro_refresh_duration_seconds"
@@ -206,8 +205,8 @@ _POOL_EVENT_METRICS = {
     ),
     "dispatch_fallbacks": (
         POOL_DISPATCH_FALLBACKS,
-        "Batches that fell back to cold fork because their dispatch "
-        "frame refused to pickle",
+        "Batches that ran inline because their dispatch frame refused "
+        "to pickle",
     ),
 }
 
@@ -218,15 +217,6 @@ def record_pool_event(
     """One warm-pool lifecycle event (fork/recycle/respawn/...)."""
     name, help_text = _POOL_EVENT_METRICS[event]
     metrics.counter(name, help_text).inc(amount)
-
-
-def record_pool_arena(metrics: MetricsRegistry, size: int) -> None:
-    """High-water total bytes of shared-memory arena pages per batch."""
-    metrics.gauge(
-        POOL_ARENA_BYTES,
-        "High-water bytes written to shared-memory arena files by one "
-        "batch",
-    ).set(size)
 
 
 def record_encode_fallbacks(

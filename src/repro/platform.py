@@ -31,7 +31,7 @@ from repro.dashboard.dashboard import Dashboard, RefreshReport, RunReport
 from repro.dashboard.environment import EnvironmentProfile
 from repro.data import Table
 from repro.dsl.parser import parse_flow_file
-from repro.engine.scheduler import ProcessPool, resolve_pool_mode
+from repro.engine.scheduler import ProcessPool
 from repro.errors import ShareInsightsError
 from repro.formats.registry import FormatRegistry, default_format_registry
 from repro.observability import Observability
@@ -97,7 +97,7 @@ class Platform:
         self._refresh_listeners: list[Any] = []
         # The platform owns the warm process pool's lifecycle: the
         # serving tier preforks it at startup and reaps it on drain;
-        # runs borrow it via ``run_dashboard(pool="auto"|"keep")``.
+        # ``processes`` runs borrow it whenever it is open.
         self._pool: ProcessPool | None = None
         self._pool_lock = threading.Lock()
 
@@ -117,7 +117,6 @@ class Platform:
         workers: int = 4,
         max_tasks_per_worker: int = 0,
         max_rss_bytes: int = 0,
-        transport: str = "shared-memory",
     ) -> ProcessPool:
         """Open (or grow) the persistent process pool and prefork it.
 
@@ -136,7 +135,6 @@ class Platform:
                 workers,
                 max_tasks_per_worker=max_tasks_per_worker,
                 max_rss_bytes=max_rss_bytes,
-                transport=transport,
                 metrics=self.observability.metrics,
             )
             pool.prefork()
@@ -144,7 +142,7 @@ class Platform:
             return pool
 
     def close_pool(self) -> None:
-        """Retire the warm pool's workers and release its arenas."""
+        """Retire and reap the warm pool's workers."""
         with self._pool_lock:
             if self._pool is not None:
                 self._pool.close()
@@ -314,22 +312,23 @@ class Platform:
         pool: str = "auto",
         small_job_bytes: int | None = None,
     ) -> RunReport:
-        mode = resolve_pool_mode(pool)
+        # ``pool`` survives only for callers that still pass "auto".
+        if pool != "auto":
+            raise ValueError(
+                f"unknown pool mode {pool!r}; the only mode is 'auto'"
+            )
         dashboard = self.get_dashboard(name)
+        # A ``processes`` run borrows the warm pool when one is open;
+        # otherwise it forks one private pool for the whole run.
         run_pool: ProcessPool | None = None
         private_pool: ProcessPool | None = None
         if executor == "processes":
-            if mode == "auto":
-                run_pool = self.pool
-            elif mode == "keep":
-                run_pool = self.warm_pool(workers=max(1, parallelism))
-            elif mode == "per-run":
-                private_pool = ProcessPool(
+            run_pool = self.pool
+            if run_pool is None:
+                private_pool = run_pool = ProcessPool(
                     max(1, parallelism),
                     metrics=self.observability.metrics,
                 )
-                run_pool = private_pool
-            # "per-stage": leave run_pool None — cold fork per stage
         try:
             # One run at a time per dashboard: concurrent POST .../run
             # calls serialize here instead of interleaving materialized

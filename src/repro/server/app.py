@@ -46,7 +46,6 @@ from typing import Any, Callable, Iterable
 from urllib.parse import parse_qsl
 
 from repro.engine.query_cache import QueryResultCache
-from repro.engine.scheduler import POOL_MODES
 from repro.errors import (
     DeadlineExceededError,
     QueryError,
@@ -222,13 +221,6 @@ class ShareInsightsApp:
                     f"executor must be 'threads' or 'processes', "
                     f"got {query.get('executor')!r}",
                 )
-            pool = str(query.get("pool", "auto")).lower()
-            if pool not in POOL_MODES:
-                return _error(
-                    400,
-                    f"pool must be one of {', '.join(POOL_MODES)}, "
-                    f"got {query.get('pool')!r}",
-                )
             raw_small = query.get("small_job_bytes")
             small_job_bytes = None
             if raw_small is not None:
@@ -248,7 +240,6 @@ class ShareInsightsApp:
                 fault_profile=query.get("fault_profile"),
                 parallelism=parallelism,
                 executor=executor,
-                pool=pool,
                 small_job_bytes=small_job_bytes,
             )
             payload = {

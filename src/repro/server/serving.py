@@ -831,7 +831,7 @@ def serve(
     single-threaded startup path is safe, and recompute requests that
     ask for ``?executor=processes`` then pay zero fork cost.  The
     drain hook reaps the pool along with the worker threads, so no
-    worker processes or arena files outlive the server.
+    worker processes outlive the server.
     """
     from repro.server.app import ShareInsightsApp
 

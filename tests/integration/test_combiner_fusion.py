@@ -5,9 +5,12 @@ players_count`` and its siblings) one plan node whose partitions run
 prelude + partial aggregate in one pool unit.  These tests pin that the
 rewrite changes no output — on both bundled workloads, on both engines,
 at parallelism 1 and 2, with the combiner on and off — that the IPL
-flow now dispatches every stage to the warm pool, and that the memo a
-worker keeps across a run's units never leaks into the next run.
+flow dispatches every stage to the process pool (a warm one, or one
+private pool per run), and that the memo a worker keeps across a run's
+units never leaks into the next run.
 """
+
+import os
 
 import pytest
 
@@ -96,7 +99,7 @@ def test_fused_plans_match_unoptimized_plans(make):
                 ), key
 
 
-def test_ipl_on_a_warm_pool_never_falls_back_to_cold_fork():
+def test_ipl_on_a_warm_pool_never_falls_back_inline():
     platform = Platform()
     _ipl_dashboard(platform=platform)
     platform.warm_pool(workers=2)
@@ -117,6 +120,38 @@ def test_ipl_on_a_warm_pool_never_falls_back_to_cold_fork():
     assert fallbacks is None or sum(
         v for _l, v in fallbacks.series()
     ) == 0
+
+
+def _endpoint_rows(dashboard):
+    return {
+        name: (table.schema.names, table.to_records())
+        for name in dashboard.endpoint_names()
+        for table in [dashboard.endpoint(name)]
+    }
+
+
+def test_ipl_without_a_warm_pool_forks_one_private_pool_per_run():
+    # With no warm pool open, a processes run forks one private pool
+    # for the whole run (not one per stage) and reaps it afterwards.
+    runs = {}
+    for parallelism, executor in ((1, "threads"), (2, "processes")):
+        platform = Platform()
+        dashboard = _ipl_dashboard(platform=platform)
+        platform.run_dashboard(
+            "ipl",
+            engine="distributed",
+            executor=executor,
+            parallelism=parallelism,
+        )
+        runs[parallelism] = (platform, _endpoint_rows(dashboard))
+    platform, rows = runs[2]
+    assert platform.pool is None
+    forks = platform.observability.metrics.get("repro_pool_forks_total")
+    assert forks is not None
+    assert sum(v for _l, v in forks.series()) == 2
+    assert rows == runs[1][1]
+    with pytest.raises(ChildProcessError):  # every worker reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_worker_memo_does_not_leak_across_runs():

@@ -1,11 +1,11 @@
 """Integration: parallel scheduling is invisible in every output.
 
 The distributed engine's worker pool must change wall time only.
-These tests run the IPL workload across the full
-{threads, processes} x parallelism {1, 4} matrix — with and without
-every named fault-injection profile — and require byte-identical
-results: materialized tables (including row order), stage statistics,
-shuffle telemetry, simulated-clock sleeps, the injector's fault log,
+These tests run the IPL workload across the full {threads, processes
+with and without a lent pool} x parallelism {1, 4} matrix — with and
+without every named fault-injection profile — and require
+byte-identical results: materialized tables (including row order),
+stage statistics, shuffle telemetry, simulated-clock sleeps, the injector's fault log,
 and the span tree.  Spill-enabled shuffles must be byte-identical to
 in-memory ones under the same matrix.  A second group pins the
 cross-engine contract: distributed output matches the local engine
@@ -156,51 +156,50 @@ class TestParallelismIsInvisible:
         )
 
     @pytest.mark.parametrize(
-        "profile", [None, "transient", "chaos:7"],
-        ids=["none", "transient", "chaos7"],
+        "profile", PROFILES, ids=[p or "none" for p in PROFILES]
     )
-    @pytest.mark.parametrize("transport", ["shared-memory", "frame"])
-    def test_ipl_warm_pool_is_byte_identical(self, profile, transport):
-        # The warm pool must be indistinguishable from threads and
-        # from cold per-stage forks — on both result transports, and
-        # on a *reused* (second-run) pool, where recycled state could
-        # otherwise leak between runs.
+    def test_ipl_warm_pool_is_byte_identical(self, profile):
+        # A lent (warm) pool must be indistinguishable from the
+        # no-lent-pool process run, which forks a private pool per
+        # stage — including on a *reused* (second-run) pool, where
+        # recycled state could otherwise leak between runs.
         from repro.engine.scheduler import ProcessPool, fork_available
 
         if not fork_available():
             pytest.skip("requires os.fork")
         dashboard = _ipl_dashboard()
         base, base_clock, base_inj, base_spans = _run(
-            dashboard, profile, 4
+            dashboard, profile, 1
         )
-        cold, _c, _i, cold_spans = _run(
-            dashboard, profile, 4, executor="processes"
-        )
-        with ProcessPool(workers=4, transport=transport) as pool:
-            runs = [
-                _run(dashboard, profile, 4, executor="processes",
-                     pool=pool)
-                for _ in range(2)  # second run hits warm workers
-            ]
+        private = _run(dashboard, profile, 4, executor="processes")
+        with ProcessPool(workers=4) as pool:
+            runs = {
+                key: _run(dashboard, profile, parallelism,
+                          executor="processes", pool=pool)
+                for key, parallelism in (
+                    ("lent-p1", 1), ("lent-p4", 4), ("lent-p4-reused", 4),
+                )
+            }
             assert pool.stats.warm_hits > 0, "pool never dispatched"
-        for key, (wide, wide_clock, wide_inj, wide_spans) in zip(
-            ("warm-first", "warm-reused"), runs
-        ):
-            key = f"{transport}/{key}"
-            assert _table_fingerprint(wide) == _table_fingerprint(base), key
-            assert _stage_fingerprint(wide) == _stage_fingerprint(base), key
-            assert wide.recovered_stages == base.recovered_stages, key
-            assert wide_clock.sleeps == base_clock.sleeps, key
+            assert pool.stats.dispatch_fallbacks == 0
+        p_result, p_clock, p_inj, p_spans = private
+        assert _table_fingerprint(p_result) == _table_fingerprint(base)
+        assert _span_fingerprint(p_spans) == _span_fingerprint(base_spans)
+        for key, (wide, wide_clock, wide_inj, wide_spans) in runs.items():
+            assert _table_fingerprint(wide) == _table_fingerprint(
+                p_result
+            ), key
+            assert _stage_fingerprint(wide) == _stage_fingerprint(
+                p_result
+            ), key
+            assert wide.recovered_stages == p_result.recovered_stages, key
+            assert wide_clock.sleeps == p_clock.sleeps == base_clock.sleeps
             assert _fault_fingerprint(wide_inj) == _fault_fingerprint(
-                base_inj
-            ), key
+                p_inj
+            ) == _fault_fingerprint(base_inj), key
             assert _span_fingerprint(wide_spans) == _span_fingerprint(
-                base_spans
+                p_spans
             ), key
-        assert _table_fingerprint(cold) == _table_fingerprint(base)
-        assert _span_fingerprint(cold_spans) == _span_fingerprint(
-            base_spans
-        )
 
     @pytest.mark.parametrize("profile", ["transient", "flaky", "chaos:7"])
     def test_faults_actually_fired(self, profile):
@@ -234,7 +233,6 @@ class TestWorkerDeathHygiene:
             )
 
         spill_before = _tmp("repro-spill-")
-        pool_before = _tmp("repro-pool-")
         dashboard = _ipl_dashboard()
         base, _c, _i, _spans = _run(dashboard, None, 4, spill_bytes=1)
         with ProcessPool(workers=4) as pool:
@@ -258,12 +256,64 @@ class TestWorkerDeathHygiene:
         assert sum(s.attempts for s in wide.stages) >= sum(
             s.attempts for s in base.stages
         )
-        # No stranded shuffle spill or arena directories, and every
-        # forked child (including the killed one) has been reaped.
+        # No stranded shuffle spill directories, and every forked
+        # child (including the killed one) has been reaped.
         assert _tmp("repro-spill-") == spill_before
-        assert _tmp("repro-pool-") == pool_before
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+def _mr_mapper(row):
+    yield row["k"], row["v"]
+
+
+def _mr_reducer(key, values):
+    yield {"k": key, "s": sum(values)}
+
+
+class TestNativeMapReduceOnAPool:
+    """``native_mr`` map and reduce units pickle into a lent pool."""
+
+    def _run(self, parallelism, pool=None):
+        from repro.data import Schema, Table
+        from repro.engine.plan import LogicalPlan
+        from repro.tasks.udf import NativeMapReduceTask
+
+        raw = Table.from_rows(
+            Schema.of("k", "v"), [("abc"[i % 3], i) for i in range(60)]
+        )
+        task = NativeMapReduceTask(
+            "mr",
+            {"mapper": _mr_mapper, "reducer": _mr_reducer,
+             "output_columns": ["k", "s"]},
+        )
+        plan = LogicalPlan()
+        load = plan.add_load("raw")
+        plan.add_task(task, [load.id], materializes="out")
+        engine = DistributedExecutor(
+            lambda _name: raw,
+            num_partitions=4,
+            parallelism=parallelism,
+            executor="processes" if pool is not None else "threads",
+            pool=pool,
+        )
+        return engine.run(plan)
+
+    def test_units_dispatch_and_match_sequential(self):
+        from repro.engine.scheduler import ProcessPool, fork_available
+
+        if not fork_available():
+            pytest.skip("requires os.fork")
+        base = self._run(1)
+        with ProcessPool(workers=2) as pool:
+            wide = self._run(2, pool=pool)
+            assert pool.stats.dispatch_fallbacks == 0
+            # one batch for the map phase, one for the reduce phase
+            assert pool.stats.warm_hits == 2
+        assert _table_fingerprint(wide) == _table_fingerprint(base)
+        assert {r["k"]: r["s"] for r in wide.table("out").rows()} == {
+            key: sum(range(i, 60, 3)) for i, key in enumerate("abc")
+        }
 
 
 def _sorted_rows(table):

@@ -160,24 +160,6 @@ class TestRunParallelism:
             detail = json.loads(body)["error"]["detail"]
             assert "small_job_bytes" in detail
 
-    def test_run_rejects_bad_pool_mode(self, client):
-        created(client)
-        status, body = client(
-            "POST", "/dashboards/proj/run", query="pool=forever"
-        )
-        assert status.startswith("400")
-        assert "pool" in json.loads(body)["error"]["detail"]
-
-    def test_run_accepts_pool_modes(self, client):
-        created(client)
-        for mode in ("auto", "per-stage", "per-run", "keep"):
-            status, _body = client(
-                "POST",
-                "/dashboards/proj/run",
-                query=f"executor=threads&pool={mode}",
-            )
-            assert status == "200 OK", mode
-
 
 class TestEndpointData:
     def test_fig27_endpoint_listing(self, client):

@@ -8,25 +8,17 @@ import threading
 
 import pytest
 
-from repro.compiler.dag import build_dag
-from repro.dsl import parse_flow_file
-from repro.engine import build_logical_plan
+from repro.data import Schema, Table
 from repro.engine.scheduler import (
     EXECUTORS,
-    POOL_MODES,
-    TRANSPORTS,
     ProcessPool,
     ProcessTransportError,
     UnitOutcome,
     WorkerPool,
     resolve_executor,
-    resolve_pool_mode,
-    resolve_transport,
-    stage_waves,
 )
 from repro.errors import WorkerLostError
 from repro.tasks.base import TaskContext
-from repro.tasks.registry import default_task_registry
 
 
 class TestWorkerPool:
@@ -107,107 +99,24 @@ class TestWorkerPool:
             WorkerPool(2, executor="fibers")
 
 
-class TestProcessPool:
-    """The fork-backed executor behind ``executor='processes'``."""
-
-    def test_results_in_submission_order(self):
-        pool = WorkerPool(workers=4, executor="processes")
-        thunks = [lambda i=i: i * i for i in range(10)]
-        assert [o.value for o in pool.map_ordered(thunks)] == [
-            i * i for i in range(10)
-        ]
-
-    def test_closures_need_no_pickling(self):
-        # The thunk captures an unpicklable object; only its *result*
-        # crosses the process boundary.
-        lock = threading.Lock()
-        pool = WorkerPool(workers=2, executor="processes")
-        outcomes = list(
-            pool.map_ordered(
-                [lambda: bool(lock), lambda: type(lock).__name__]
-            )
-        )
-        assert outcomes[0].value is True
-        assert outcomes[1].value == "lock"
-
-    def test_errors_are_captured_and_pickled_back(self):
-        pool = WorkerPool(workers=2, executor="processes")
-
-        def boom():
-            raise ValueError("unit failed")
-
-        outcomes = list(pool.map_ordered([lambda: 1, boom, lambda: 3]))
-        assert [o.failed for o in outcomes] == [False, True, False]
-        assert isinstance(outcomes[1].error, ValueError)
-        assert "unit failed" in str(outcomes[1].error)
-
-    def test_unpicklable_result_degrades_to_transport_error(self):
-        pool = WorkerPool(workers=2, executor="processes")
-        outcomes = list(
-            pool.map_ordered([lambda: threading.Lock(), lambda: 2])
-        )
-        assert isinstance(outcomes[0].error, ProcessTransportError)
-        assert outcomes[1].value == 2
-
-    def test_dead_worker_surfaces_as_worker_lost(self):
-        # A worker that exits without reporting must not hang the
-        # coordinator; its units come back as WorkerLostError so the
-        # engine's lineage recovery can recompute them inline.
-        pool = WorkerPool(workers=2, executor="processes")
-        thunks = [lambda: os._exit(3)] + [lambda i=i: i for i in (1, 2, 3)]
-        outcomes = list(pool.map_ordered(thunks))
-        # Worker 0 owned the strided units 0 and 2 and died on 0, so
-        # both are lost; worker 1's units 1 and 3 still come back.
-        assert isinstance(outcomes[0].error, WorkerLostError)
-        assert isinstance(outcomes[2].error, WorkerLostError)
-        assert outcomes[1].value == 1
-        assert outcomes[3].value == 3
-
-    def test_no_orphan_workers_after_map(self):
-        pool = WorkerPool(workers=4, executor="processes")
-        list(pool.map_ordered([lambda i=i: i for i in range(8)]))
-        # Every forked child has been reaped: waitpid finds no zombies.
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_single_worker_stays_lazy_and_forkless(self):
-        ran = []
-
-        def unit(i):
-            def thunk():
-                ran.append(i)  # visible ⇒ ran in this process
-                return i
-
-            return thunk
-
-        pool = WorkerPool(workers=1, executor="processes")
-        iterator = pool.map_ordered([unit(0), unit(1)])
-        assert next(iterator).value == 0
-        assert ran == [0]
-
-    def test_large_columnar_results_round_trip(self):
-        # Bigger than one flush frame, forcing the batching path.
-        pool = WorkerPool(workers=2, executor="processes")
-        size = 200_000
-
-        def big(offset):
-            return {"col": list(range(offset, offset + size))}
-
-        outcomes = list(
-            pool.map_ordered([lambda: big(0), lambda: big(7)])
-        )
-        assert outcomes[0].value["col"][:3] == [0, 1, 2]
-        assert outcomes[1].value["col"][-1] == 7 + size - 1
-
-
-# Warm-pool dispatch pickles the thunks, so the test units live at
-# module level (lambdas would force the cold-fork fallback).
+# Pool dispatch pickles the thunks, so the test units live at module
+# level (a lambda would make its batch run inline on the coordinator).
 class _Square:
     def __init__(self, i):
         self.i = i
 
     def __call__(self):
         return self.i * self.i
+
+
+class _SquareTable:
+    """A one-row ``Table`` result: it ships as a page-codec blob."""
+
+    def __init__(self, i):
+        self.i = i
+
+    def __call__(self):
+        return Table.from_columns(Schema.of("sq"), {"sq": [self.i * self.i]})
 
 
 class _Boom:
@@ -232,38 +141,121 @@ class _Pid:
         return os.getpid()
 
 
+class _Big:
+    def __init__(self, offset):
+        self.offset = offset
+
+    def __call__(self):
+        return {"col": list(range(self.offset, self.offset + 200_000))}
+
+
+class TestProcessPool:
+    """``executor='processes'`` with no pool lent: a pool per batch."""
+
+    def test_results_in_submission_order(self):
+        pool = WorkerPool(workers=4, executor="processes")
+        thunks = [_Square(i) for i in range(10)]
+        assert [o.value for o in pool.map_ordered(thunks)] == [
+            i * i for i in range(10)
+        ]
+
+    def test_closures_need_no_pickling(self):
+        # Closures still run under the process executor without being
+        # pickled: these capture an unpicklable lock, so the batch is
+        # not dispatched and runs inline on the coordinator instead.
+        lock = threading.Lock()
+        pool = WorkerPool(workers=2, executor="processes")
+        outcomes = list(
+            pool.map_ordered([lambda: bool(lock), lambda: os.getpid()])
+        )
+        assert outcomes[0].value is True
+        assert outcomes[1].value == os.getpid()
+
+    def test_errors_are_captured_and_pickled_back(self):
+        pool = WorkerPool(workers=2, executor="processes")
+        outcomes = list(
+            pool.map_ordered([_Square(1), _Boom(), _Square(3)])
+        )
+        assert [o.failed for o in outcomes] == [False, True, False]
+        assert isinstance(outcomes[1].error, ValueError)
+        assert "unit failed" in str(outcomes[1].error)
+
+    def test_unpicklable_result_degrades_to_transport_error(self):
+        pool = WorkerPool(workers=2, executor="processes")
+        outcomes = list(pool.map_ordered([_LockMaker(), _Square(2)]))
+        assert isinstance(outcomes[0].error, ProcessTransportError)
+        assert outcomes[1].value == 4
+
+    def test_dead_worker_surfaces_as_worker_lost(self):
+        # A worker that exits without reporting must not hang the
+        # coordinator; its units come back as WorkerLostError so the
+        # engine's lineage recovery can recompute them inline.
+        pool = WorkerPool(workers=2, executor="processes")
+        thunks = [_Exit(), _Square(1), _Square(2), _Square(3)]
+        outcomes = list(pool.map_ordered(thunks))
+        # Worker 0 owned the strided units 0 and 2 and died on 0, so
+        # both are lost; worker 1's units 1 and 3 still come back.
+        assert isinstance(outcomes[0].error, WorkerLostError)
+        assert isinstance(outcomes[2].error, WorkerLostError)
+        assert outcomes[1].value == 1
+        assert outcomes[3].value == 9
+
+    def test_no_orphan_workers_after_map(self):
+        pool = WorkerPool(workers=4, executor="processes")
+        pids = {o.value for o in pool.map_ordered([_Pid()] * 8)}
+        assert os.getpid() not in pids  # really ran in workers
+        # The batch's private pool has been closed and every forked
+        # child reaped: waitpid finds no zombies.
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_single_worker_stays_lazy_and_forkless(self):
+        ran = []
+
+        def unit(i):
+            def thunk():
+                ran.append(i)  # visible ⇒ ran in this process
+                return i
+
+            return thunk
+
+        pool = WorkerPool(workers=1, executor="processes")
+        iterator = pool.map_ordered([unit(0), unit(1)])
+        assert next(iterator).value == 0
+        assert ran == [0]
+
+    def test_large_columnar_results_round_trip(self):
+        # Multi-megabyte results cross the result pipe intact.
+        pool = WorkerPool(workers=2, executor="processes")
+        outcomes = list(pool.map_ordered([_Big(0), _Big(7)]))
+        assert outcomes[0].value["col"][:3] == [0, 1, 2]
+        assert outcomes[1].value["col"][-1] == 7 + 200_000 - 1
+
+
 class TestWarmProcessPool:
-    """Persistent forked workers: dispatch instead of fork-per-stage."""
+    """A lent pool: workers forked once, then one dispatch per batch."""
 
     def test_vocabulary(self):
-        assert TRANSPORTS == ("shared-memory", "frame")
-        assert POOL_MODES == ("auto", "per-stage", "per-run", "keep")
-        assert resolve_transport("Frame") == "frame"
-        assert resolve_pool_mode("KEEP") == "keep"
-        with pytest.raises(ValueError, match="unknown transport"):
-            resolve_transport("carrier-pigeon")
-        with pytest.raises(ValueError, match="unknown pool mode"):
-            resolve_pool_mode("forever")
+        # One process mechanism: "auto" is the only pool mode left,
+        # kept for callers that still pass it.
+        from repro import Platform
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_batch_results_in_unit_order(self, transport):
-        with ProcessPool(workers=3, transport=transport) as pool:
-            outcomes = pool.run_batch([_Square(i) for i in range(10)])
-            assert [o.value for o in outcomes] == [
+        with pytest.raises(ValueError, match="unknown pool mode"):
+            Platform().run_dashboard("any", pool="per-stage")
+
+    # Every result rides a pipe frame: plain values as pickled entries,
+    # tables as binary page-codec entries inside the frame.
+    @pytest.mark.parametrize(
+        "unit, read",
+        [(_Square, lambda v: v), (_SquareTable, lambda t: t.column("sq")[0])],
+        ids=["frame", "page"],
+    )
+    def test_batch_results_in_unit_order(self, unit, read):
+        with ProcessPool(workers=3) as pool:
+            outcomes = pool.run_batch([unit(i) for i in range(10)])
+            assert [read(o.value) for o in outcomes] == [
                 i * i for i in range(10)
             ]
-
-    def test_transports_agree(self):
-        thunks = [_Square(i) for i in range(7)] + [_Boom()]
-        with ProcessPool(workers=2, transport="shared-memory") as shm:
-            via_shm = shm.run_batch(thunks)
-        with ProcessPool(workers=2, transport="frame") as frame:
-            via_frame = frame.run_batch(thunks)
-        assert [o.value for o in via_shm] == [
-            o.value for o in via_frame
-        ]
-        assert isinstance(via_shm[-1].error, ValueError)
-        assert isinstance(via_frame[-1].error, ValueError)
 
     def test_workers_stay_warm_across_batches(self):
         with ProcessPool(workers=2) as pool:
@@ -286,24 +278,24 @@ class TestWarmProcessPool:
             assert isinstance(outcomes[0].error, ProcessTransportError)
             assert outcomes[1].value == 4
 
-    def test_unpicklable_thunk_falls_back_to_cold_fork(self, caplog):
+    def test_unpicklable_thunk_falls_back_inline(self, caplog):
         lock = threading.Lock()
         with ProcessPool(workers=2) as pool:
+            workers = WorkerPool(2, executor="processes", pool=pool)
             with caplog.at_level(logging.WARNING, logger="repro.pool"):
-                assert pool.run_batch([_Pid(), lambda: bool(lock)]) is None
+                outcomes = list(
+                    workers.map_ordered([_Pid(), lambda: bool(lock)])
+                )
+            # Same outcomes, computed on the coordinator.
+            assert [o.value for o in outcomes] == [os.getpid(), True]
             assert pool.stats.dispatch_fallbacks == 1
+            assert pool.alive() == 0  # refused before any fork
             # One structured line names the unit that refused to pickle.
             (record,) = caplog.records
             line = json.loads(record.getMessage())
             assert line["event"] == "pool.dispatch_fallback"
             assert line["unit_type"] == "function"
             assert (line["unit"], line["units"]) == (1, 2)
-            # The WorkerPool wrapper transparently cold-forks instead.
-            workers = WorkerPool(2, executor="processes", pool=pool)
-            outcomes = list(
-                workers.map_ordered([lambda: bool(lock), lambda: 2])
-            )
-            assert [o.value for o in outcomes] == [True, 2]
 
     def test_dead_worker_units_lost_then_respawned(self):
         with ProcessPool(workers=2) as pool:
@@ -339,14 +331,12 @@ class TestWarmProcessPool:
             ]
             assert pool.alive() == 2  # only 2 slots ever forked
 
-    def test_close_reaps_workers_and_arena(self):
+    def test_close_reaps_workers(self):
         pool = ProcessPool(workers=3)
         pool.prefork()
         list(pool.run_batch([_Square(i) for i in range(6)]))
-        arena_dir = pool._dir
         pool.close()
         assert pool.alive() == 0
-        assert arena_dir is None or not os.path.exists(arena_dir)
         # Every forked child has been reaped: no zombies left behind.
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -356,7 +346,6 @@ class TestWarmProcessPool:
     def test_pool_metrics_family(self):
         from repro.observability import MetricsRegistry
         from repro.observability.instruments import (
-            POOL_ARENA_BYTES,
             POOL_FORKS,
             POOL_WARM_HITS,
         )
@@ -366,8 +355,6 @@ class TestWarmProcessPool:
             pool.run_batch([_Square(i) for i in range(4)])
         assert metrics.counter(POOL_FORKS).total() == 2
         assert metrics.counter(POOL_WARM_HITS).total() == 1
-        if pool._transport_in_use() == "shared-memory":
-            assert metrics.gauge(POOL_ARENA_BYTES).value() > 0
 
     def test_dispatch_span_is_opt_in(self):
         from repro.observability import Tracer
@@ -385,7 +372,6 @@ class TestWarmProcessPool:
         assert len(dispatch) == 1
         assert dispatch[0].attrs["units"] == 4
         assert dispatch[0].attrs["workers"] == 2
-        assert dispatch[0].attrs["transport"] in TRANSPORTS
 
     def test_stats_as_dict_round_trips(self):
         with ProcessPool(workers=2) as pool:
@@ -399,23 +385,7 @@ class TestWarmProcessPool:
             "respawns",
             "warm_hits",
             "dispatch_fallbacks",
-            "arena_bytes",
         }
-
-
-SOURCE = (
-    "D:\n    raw: [k, v]\n"
-    "D.raw:\n    source: raw.csv\n"
-    "F:\n"
-    "    D.left: D.raw | T.keep\n"
-    "    D.right: D.raw | T.double\n"
-    "    D.out: (D.left, D.right) | T.merge\n"
-    "T:\n"
-    "    keep:\n        type: filter_by\n        filter_expression: v > 1\n"
-    "    double:\n        type: add_column\n        expression: v * 2\n"
-    "        output: v2\n"
-    "    merge:\n        type: union\n"
-)
 
 
 class _MemoProbe:
@@ -471,39 +441,3 @@ class TestRunScopedWorkerContext:
         assert copy.dictionary("d") == {"a": "A"}
         copy.bump("rows")
         assert context.counters == {"rows": 5}
-
-
-class TestStageWaves:
-    def test_waves_group_independent_stages(self):
-        ff = parse_flow_file(SOURCE)
-        registry = default_task_registry()
-        tasks = registry.build_section(
-            {name: spec.config for name, spec in ff.tasks.items()}
-        )
-        plan = build_logical_plan(build_dag(ff), tasks)
-        waves = stage_waves(plan)
-        labels = [
-            [plan.nodes[node_id].label() for node_id in wave]
-            for wave in waves
-        ]
-        assert labels[0] == ["load(raw)"]
-        # The two branches are mutually independent: same wave.
-        assert sorted(labels[1]) == ["add_column:double", "filter_by:keep"]
-        assert labels[2] == ["union:merge"]
-
-    def test_every_input_is_in_an_earlier_wave(self):
-        ff = parse_flow_file(SOURCE)
-        registry = default_task_registry()
-        tasks = registry.build_section(
-            {name: spec.config for name, spec in ff.tasks.items()}
-        )
-        plan = build_logical_plan(build_dag(ff), tasks)
-        wave_of = {
-            node_id: i
-            for i, wave in enumerate(stage_waves(plan))
-            for node_id in wave
-        }
-        assert set(wave_of) == set(plan.nodes)
-        for node in plan.nodes.values():
-            for input_id in node.inputs:
-                assert wave_of[input_id] < wave_of[node.id]
